@@ -1,28 +1,11 @@
 package rtl
 
 import (
-	"fmt"
-	"strings"
-
 	"repro/internal/datapath"
 	"repro/internal/dfg"
 	"repro/internal/model"
 	"repro/internal/rtl/netlist"
 )
-
-// Lint parses the Verilog source into a netlist IR and runs the full
-// static-analysis suite (combloop, driver, deadlogic, width — see
-// internal/rtl/netlist). It returns nil for a clean module and an error
-// listing every finding otherwise. Parse failures are also errors: a
-// module the analyzer cannot parse is outside the subset the emitter is
-// allowed to produce.
-func Lint(src string) error {
-	diags, err := netlist.Analyze(src, netlist.Options{})
-	if err != nil {
-		return fmt.Errorf("rtl lint: %w", err)
-	}
-	return diagErr(diags)
-}
 
 // ExpectedWidths derives the wordlength interface specification of the
 // generated module from the graph's operation specs: every data port and
@@ -94,16 +77,4 @@ func AnalyzeGraph(moduleName string, d *dfg.Graph, lib *model.Library, dp *datap
 		Lib:      lib,
 		Datapath: dp,
 	})
-}
-
-// diagErr folds findings into one error, or nil when clean.
-func diagErr(diags []netlist.Diag) error {
-	if len(diags) == 0 {
-		return nil
-	}
-	lines := make([]string, len(diags))
-	for i, d := range diags {
-		lines[i] = "  " + d.String()
-	}
-	return fmt.Errorf("rtl lint: %d findings:\n%s", len(diags), strings.Join(lines, "\n"))
 }

@@ -181,19 +181,25 @@ endmodule
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := Lint(tc.src)
-			if tc.wantErr == "" {
-				if err != nil {
-					t.Fatalf("want clean, got: %v", err)
+			diags, err := Analyze(tc.src, AnalyzeOptions{})
+			if err != nil {
+				if tc.wantErr == "" || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("want %q, got parse error: %v", tc.wantErr, err)
 				}
 				return
 			}
-			if err == nil {
-				t.Fatalf("want error containing %q, got nil", tc.wantErr)
+			if tc.wantErr == "" {
+				if len(diags) > 0 {
+					t.Fatalf("want clean, got: %v", diags)
+				}
+				return
 			}
-			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("want error containing %q, got: %v", tc.wantErr, err)
+			for _, d := range diags {
+				if strings.Contains(d.Message, tc.wantErr) {
+					return
+				}
 			}
+			t.Fatalf("want a finding containing %q, got: %v", tc.wantErr, diags)
 		})
 	}
 }

@@ -9,19 +9,17 @@ import (
 	"repro/internal/datapath"
 	"repro/internal/descend"
 	"repro/internal/dfg"
-	"repro/internal/fxsim"
 	"repro/internal/model"
 	"repro/internal/rtl"
 	"repro/internal/tgff"
 	"repro/internal/twostage"
-	"repro/internal/vsim"
 )
 
-// runEquivalence generates Verilog for the datapath, elaborates it in the
-// vsim simulator, clocks it over `vectors` random input vectors and
-// compares every sink output against the fixed-point reference
-// evaluation. This executes the emitted source text itself, so it
-// catches text-generation bugs that no in-memory check can.
+// runEquivalence generates Verilog for the datapath, runs the emitted
+// source text on the concrete simulator over `vectors` random input
+// vectors and compares every sink output against the fixed-point
+// reference evaluation, so it catches text-generation bugs that no
+// in-memory check can.
 func runEquivalence(t *testing.T, d *dfg.Graph, lib *model.Library, dp *datapath.Datapath, rnd *rand.Rand, vectors int) {
 	t.Helper()
 	src, err := rtl.Generate("dut", d, lib, dp)
@@ -38,42 +36,8 @@ func runEquivalence(t *testing.T, d *dfg.Graph, lib *model.Library, dp *datapath
 	if len(diags) > 0 {
 		t.Fatalf("analyzer findings on generated module:\n%v\n%s", diags, src)
 	}
-	bench, err := vsim.NewBench(src)
-	if err != nil {
-		t.Fatalf("elaborate: %v\n%s", err, src)
-	}
-	if err := bench.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	ins, outs := rtl.Interface(d)
-	makespan := dp.Makespan(lib)
-	for v := 0; v < vectors; v++ {
-		fxIn := make(fxsim.Inputs)
-		rtlIn := make(map[string]uint64)
-		for _, p := range ins {
-			val := rnd.Uint64() & (1<<uint(p.Width) - 1)
-			slots := fxIn[p.Op]
-			slots[p.Slot] = val
-			fxIn[p.Op] = slots
-			rtlIn[p.Name] = val
-		}
-		want, err := fxsim.Reference(d, fxIn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, cycles, err := bench.RunIteration(rtlIn, makespan+4)
-		if err != nil {
-			t.Fatalf("vector %d: %v\n%s", v, err, src)
-		}
-		if cycles != makespan {
-			t.Fatalf("vector %d: took %d cycles, schedule says %d", v, cycles, makespan)
-		}
-		for _, p := range outs {
-			if got[p.Name] != want[p.Op] {
-				t.Fatalf("vector %d: %s = %d, reference %d\n%s",
-					v, p.Name, got[p.Name], want[p.Op], src)
-			}
-		}
+	if msg := simulate(t, src, d, lib, dp, rnd, vectors); msg != "" {
+		t.Fatalf("%s\n%s", msg, src)
 	}
 }
 

@@ -10,13 +10,11 @@ import (
 	"repro/internal/datapath"
 	"repro/internal/descend"
 	"repro/internal/dfg"
-	"repro/internal/fxsim"
 	"repro/internal/model"
 	"repro/internal/rtl"
 	"repro/internal/rtl/netlist"
 	"repro/internal/tgff"
 	"repro/internal/twostage"
-	"repro/internal/vsim"
 	"repro/internal/workloads"
 )
 
@@ -167,48 +165,6 @@ func equivFindings(t *testing.T, src string, g *dfg.Graph, lib *model.Library, d
 	return eq
 }
 
-// samplingPasses runs the vsim/fxsim differential check and reports
-// whether every sampled vector matched (i.e. whether simulation-based
-// verification would have let the module through).
-func samplingPasses(t *testing.T, src string, g *dfg.Graph, lib *model.Library, dp *datapath.Datapath, seed int64, vectors int) bool {
-	t.Helper()
-	bench, err := vsim.NewBench(src)
-	if err != nil {
-		t.Fatalf("elaborate: %v\n%s", err, src)
-	}
-	if err := bench.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	ins, outs := rtl.Interface(g)
-	makespan := dp.Makespan(lib)
-	rnd := rand.New(rand.NewSource(seed))
-	for v := 0; v < vectors; v++ {
-		fxIn := make(fxsim.Inputs)
-		rtlIn := make(map[string]uint64)
-		for _, p := range ins {
-			val := rnd.Uint64() & (1<<uint(p.Width) - 1)
-			slots := fxIn[p.Op]
-			slots[p.Slot] = val
-			fxIn[p.Op] = slots
-			rtlIn[p.Name] = val
-		}
-		want, err := fxsim.Reference(g, fxIn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := bench.RunIteration(rtlIn, makespan+4)
-		if err != nil {
-			t.Fatalf("vector %d: %v\n%s", v, err, src)
-		}
-		for _, p := range outs {
-			if got[p.Name] != want[p.Op] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // requireCounterexample asserts the equiv findings include a divergence
 // naming the given register at the given cycle.
 func requireCounterexample(t *testing.T, eq []netlist.Diag, reg string, cycle int) {
@@ -250,7 +206,7 @@ func TestMutationOperandSwap(t *testing.T) {
 	mut := mutate(t, src, swapOperandLatches("u0_a", "u0_b"))
 	wb := dp.Start[0] + lib.Latency(dp.Instances[dp.InstOf[0]].Kind) - 1
 	requireCounterexample(t, equivFindings(t, mut, g, lib, dp), "r_s", wb)
-	if samplingPasses(t, mut, g, lib, dp, 21, 6) {
+	if simulate(t, mut, g, lib, dp, rand.New(rand.NewSource(21)), 6) == "" {
 		t.Fatal("operand swap on a subtractor should be visible to sampling")
 	}
 }
@@ -282,8 +238,8 @@ func TestMutationMuxInversion(t *testing.T) {
 // TestMutationDelayedCapture delays r_m1's writeback by one cycle in
 // the Fig. 1 datapath. The functional unit's operands are not
 // re-latched until after the late capture and no consumer reads r_m1
-// that early, so every output stays bit-identical: the vsim/fxsim
-// sampling differential passes on every vector while the symbolic
+// that early, so every output stays bit-identical: the concrete
+// simulation against fxsim passes on every vector while the symbolic
 // prover pins the divergence at the scheduled writeback cycle. This is
 // the acceptance case for proving over sampling.
 func TestMutationDelayedCapture(t *testing.T) {
@@ -305,8 +261,8 @@ func TestMutationDelayedCapture(t *testing.T) {
 	}
 	wb := dp.Start[m1] + lib.Latency(dp.Instances[dp.InstOf[m1]].Kind) - 1
 	requireCounterexample(t, equivFindings(t, mut, g, lib, dp), "r_m1", wb)
-	if !samplingPasses(t, mut, g, lib, dp, 22, 8) {
-		t.Fatal("delayed capture was visible to sampling; the mutation no longer demonstrates the prover's advantage")
+	if msg := simulate(t, mut, g, lib, dp, rand.New(rand.NewSource(22)), 8); msg != "" {
+		t.Fatalf("delayed capture was visible to sampling (%s); the mutation no longer demonstrates the prover's advantage", msg)
 	}
 }
 

@@ -316,6 +316,30 @@ endmodule
 			want: []string{`undeclared identifier "ghost"`},
 		},
 		{
+			name: "resolve: duplicate declaration",
+			src: `module m (
+  input  wire a,
+  output wire y
+);
+  reg a;
+  assign y = a;
+endmodule
+`,
+			want: []string{`register "a" already declared at line 2`},
+		},
+		{
+			name: "resolve: assign into an input port",
+			src: `module m (
+  input  wire a,
+  output wire y
+);
+  assign a = 1'd1;
+  assign y = a;
+endmodule
+`,
+			want: []string{`assign drives input port "a"`},
+		},
+		{
 			name: "width: select past declared width",
 			src: `module m (
   input  wire [3:0] a,
@@ -594,6 +618,31 @@ func TestParseErrors(t *testing.T) {
 			want: "only non-blocking assignment",
 		},
 		{
+			name: "missing module header",
+			src:  "wire x = 1;\n",
+			want: `expected "module"`,
+		},
+		{
+			name: "declaration range above bit 0",
+			src:  "module m (\n  input wire [3:1] a\n);\nendmodule\n",
+			want: "must end at 0",
+		},
+		{
+			name: "unsupported module item",
+			src:  "module m (\n  input wire a\n);\n  initial begin end\nendmodule\n",
+			want: "unsupported module item",
+		},
+		{
+			name: "unknown literal base",
+			src:  "module m (\n  output wire [3:0] y\n);\n  assign y = 4'x12;\nendmodule\n",
+			want: "unknown literal base",
+		},
+		{
+			name: "truncated sized literal",
+			src:  "module m (\n  output wire [3:0] y\n);\n  assign y = 4'",
+			want: "truncated sized literal",
+		},
+		{
 			name: "unterminated block comment",
 			src:  "module m (\n  input wire clk\n);\n/* open\nendmodule\n",
 			want: "unterminated block comment",
@@ -608,6 +657,131 @@ func TestParseErrors(t *testing.T) {
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("want error containing %q, got: %v", tc.want, err)
 			}
+		})
+	}
+}
+
+// TestLexer pins the token stream of a small module: keywords,
+// identifiers, punctuation and a sized literal, with comments dropped.
+func TestLexer(t *testing.T) {
+	toks, _, err := lexAll("module m (input wire [3:0] a); // comment\n wire [7:0] y = 4'd12 + a; endmodule")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"module", "m", "(", "input", "wire", "[", "3", ":", "0", "]", "a", ")", ";",
+		"wire", "[", "7", ":", "0", "]", "y", "=", "4'd12", "+", "a", ";", "endmodule", "end of input"}
+	if len(toks) != len(want) {
+		t.Fatalf("%d tokens, want %d: %v", len(toks), len(want), toks)
+	}
+	for i, w := range want {
+		if toks[i].text != w {
+			t.Fatalf("token %d = %q, want %q", i, toks[i].text, w)
+		}
+	}
+	if toks[0].kind != tokKeyword || toks[1].kind != tokIdent || toks[21].kind != tokSized || toks[26].kind != tokEOF {
+		t.Fatalf("unexpected token kinds: %v", toks)
+	}
+}
+
+// TestLexerSizedLiteralBases checks every literal base lexes as one
+// sized token and parses to the right value.
+func TestLexerSizedLiteralBases(t *testing.T) {
+	for _, tc := range []struct {
+		src   string
+		width int
+		val   uint64
+	}{{"8'hff", 8, 255}, {"4'b1010", 4, 10}, {"3'o7", 3, 7}, {"10'd1_000", 10, 1000}} {
+		toks, _, err := lexAll(tc.src)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.src, err)
+		}
+		if toks[0].kind != tokSized || toks[0].text != tc.src {
+			t.Fatalf("%s lexed as %v %q", tc.src, toks[0].kind, toks[0].text)
+		}
+		m, err := Parse("module m (\n  output wire [15:0] y\n);\n  assign y = " + tc.src + ";\nendmodule\n")
+		if err != nil {
+			t.Fatalf("%s: %v", tc.src, err)
+		}
+		if n, ok := m.Assigns[0].Expr.(Num); !ok || n.Width != tc.width || n.Val != tc.val {
+			t.Fatalf("%s parsed as %#v, want %d'd%d", tc.src, m.Assigns[0].Expr, tc.width, tc.val)
+		}
+	}
+}
+
+// TestParseModuleShape checks the elaborated net table of a small
+// module: names, kinds, widths and storage.
+func TestParseModuleShape(t *testing.T) {
+	m, err := Parse(`module shape (
+  input  wire clk,
+  input  wire [7:0] a,
+  output wire [8:0] y,
+  output reg  done
+);
+  reg [8:0] acc;
+  wire [8:0] sum = acc + {1'd0, a};
+  assign y = acc;
+  always @(posedge clk) begin
+    acc <= sum;
+    done <= 1'b1;
+  end
+endmodule
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Name != "shape" || len(m.Ports) != 4 || len(m.Always) != 1 {
+		t.Fatalf("unexpected shape: %+v", m)
+	}
+	d := Elaborate(m, "shape.v")
+	for _, tc := range []struct {
+		name  string
+		width int
+		kind  NetKind
+		reg   bool
+	}{
+		{"a", 8, NetInput, false}, {"y", 9, NetOutput, false}, {"done", 1, NetOutput, true},
+		{"acc", 9, NetReg, true}, {"sum", 9, NetWire, false},
+	} {
+		n := d.Nets[tc.name]
+		if n == nil || n.Width != tc.width || n.Kind != tc.kind || n.Reg != tc.reg {
+			t.Errorf("net %s = %+v, want width %d, %s, reg %v", tc.name, n, tc.width, tc.kind, tc.reg)
+		}
+	}
+}
+
+// TestRejectsMalformedModules runs one-line malformed modules through
+// the whole front end: each must fail either to parse or with an
+// analyzer finding, whichever stage owns the defect.
+func TestRejectsMalformedModules(t *testing.T) {
+	cases := []struct {
+		name, src, want string
+	}{
+		{"missing module", "wire x = 1;", `expected "module"`},
+		{"undeclared ref", "module m (input wire a, output wire y); assign y = b; endmodule", `undeclared identifier "b"`},
+		{"assign to input", "module m (input wire a); assign a = 1'd1; endmodule", `assign drives input port "a"`},
+		{"double declaration", "module m (input wire a); reg a; endmodule", `register "a" already declared`},
+		{"double wire drive", "module m (input wire a, output wire y); assign y = a; assign y = a; endmodule", `net "y" is multiply-driven`},
+		{"nonzero lsb", "module m (input wire [3:1] a); endmodule", "must end at 0"},
+		{"select out of range", "module m (input wire [3:0] a, output wire y); assign y = a[4]; endmodule", `reads past the declared width 4 of "a"`},
+		{"blocking assign", "module m (input wire clk); reg r; always @(posedge clk) r = 1'd1; endmodule", "only non-blocking assignment"},
+		{"literal overflow", "module m (output wire y); assign y = 2'd7; endmodule", "overflows its width"},
+		{"unsupported item", "module m (input wire a); initial begin end endmodule", "unsupported module item"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			diags, err := Analyze(tc.src, Options{})
+			if err != nil {
+				if !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("parse error %q does not contain %q", err, tc.want)
+				}
+				return
+			}
+			for _, d := range diags {
+				if strings.Contains(d.Message, tc.want) {
+					return
+				}
+			}
+			t.Fatalf("accepted without a finding containing %q; got %s", tc.want, renderAll(diags))
 		})
 	}
 }

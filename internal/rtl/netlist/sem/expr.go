@@ -8,6 +8,11 @@
 // so semantic equality of two expressions built through the same
 // Builder reduces to pointer equality.
 //
+// Prove checks obligations over symbolic inputs. Sim drives the same
+// unroller with constant inputs and registers, so every node folds to a
+// value: a concrete cycle simulator for running test vectors through
+// the module.
+//
 // Canonicalization is deliberately modest — strong enough to close the
 // gap between the shapes internal/rtl emits and the reference
 // expressions model.Reference builds, and nothing more:

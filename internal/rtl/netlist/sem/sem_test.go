@@ -184,6 +184,45 @@ endmodule
 	}
 }
 
+// TestProveWireTruncation checks that a combinational net wraps to its
+// declared width: a 4-bit sum widened into a 5-bit register must prove
+// equal to trunc4(a+b), never to the carry-preserving trunc5(a+b).
+func TestProveWireTruncation(t *testing.T) {
+	src := `module m (
+  input  wire clk,
+  input  wire [3:0] a,
+  input  wire [3:0] b,
+  output wire [4:0] y
+);
+  wire [3:0] t = a + b;
+  reg [4:0] r;
+  always @(posedge clk) begin
+    r <= t;
+  end
+  assign y = r;
+endmodule
+`
+	d := elaborate(t, src)
+	for _, tc := range []struct {
+		width int
+		ok    bool
+	}{{4, true}, {5, false}} {
+		b := NewBuilder()
+		a, bb := b.Var("a", 4), b.Var("b", 4)
+		diags := Prove(d, b, Spec{
+			Cycles: 1,
+			Inputs: map[string]*Node{"clk": b.Const(0), "a": a, "b": bb},
+			Checks: []Check{{Net: "y", Cycle: 0, Want: b.Trunc(tc.width, b.Add(a, bb)), Label: "the sum"}},
+		})
+		if tc.ok && len(diags) != 0 {
+			t.Errorf("y == trunc%d(a+b) not proved: %v", tc.width, diags)
+		}
+		if !tc.ok && (len(diags) != 1 || !strings.Contains(diags[0].Message, "diverges")) {
+			t.Errorf("y == trunc%d(a+b) not refuted: %v", tc.width, diags)
+		}
+	}
+}
+
 // TestCannotProveSymbolicControl pins the soundness posture: control
 // that does not fold to a constant is reported, never assumed.
 func TestCannotProveSymbolicControl(t *testing.T) {

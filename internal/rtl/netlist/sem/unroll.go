@@ -59,8 +59,7 @@ func Prove(d *netlist.Design, b *Builder, spec Spec) (diags []netlist.Diag) {
 		}
 	}()
 
-	u := &unroller{d: d, b: b, state: map[string]*Node{}, wires: map[string]*Node{},
-		inputs: map[string]*Node{}}
+	u := newUnroller(d, b)
 	for name, v := range spec.Inputs {
 		u.inputs[name] = v
 	}
@@ -120,12 +119,19 @@ type unroller struct {
 	stack  map[string]bool  // wire evaluation recursion guard
 }
 
+func newUnroller(d *netlist.Design, b *Builder) *unroller {
+	return &unroller{d: d, b: b, state: map[string]*Node{}, wires: map[string]*Node{},
+		inputs: map[string]*Node{}}
+}
+
 // semErr is an internal "outside the provable subset" condition.
 type semErr struct {
 	line int
 	net  string
 	msg  string
 }
+
+func (e *semErr) Error() string { return fmt.Sprintf("line %d: %s", e.line, e.msg) }
 
 func errf(line int, net, format string, args ...any) *semErr {
 	return &semErr{line: line, net: net, msg: fmt.Sprintf(format, args...)}
@@ -247,6 +253,7 @@ func (u *unroller) wireValue(n *netlist.Net) (*Node, *semErr) {
 	if err != nil {
 		return nil, err
 	}
+	v = u.b.Trunc(n.Width, v)
 	u.wires[n.Name] = v
 	return v, nil
 }

@@ -27,6 +27,19 @@ func allocate(t *testing.T, d *dfg.Graph, relaxNum, relaxDen int) (*model.Librar
 	return lib, dp
 }
 
+// requireClean runs the structural analysis suite over src and fails on
+// any finding.
+func requireClean(t *testing.T, src string) {
+	t.Helper()
+	diags, err := Analyze(src, AnalyzeOptions{})
+	if err != nil {
+		t.Fatalf("%v\n%s", err, src)
+	}
+	if len(diags) > 0 {
+		t.Fatalf("analyzer findings:\n%v\n%s", diags, src)
+	}
+}
+
 func TestGenerateFig1(t *testing.T) {
 	g := workloads.Fig1()
 	lib, dp := allocate(t, g, 1, 2)
@@ -34,9 +47,7 @@ func TestGenerateFig1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Lint(src); err != nil {
-		t.Fatalf("%v\n%s", err, src)
-	}
+	requireClean(t, src)
 	for _, want := range []string{
 		"module fig1_datapath",
 		"input  wire clk",
@@ -70,9 +81,7 @@ func TestGenerateRandomGraphsLint(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if err := Lint(src); err != nil {
-			t.Fatalf("seed %d: %v\n%s", seed, err, src)
-		}
+		requireClean(t, src)
 	}
 }
 
@@ -125,9 +134,7 @@ func TestSubtractionUnits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Lint(src); err != nil {
-		t.Fatalf("%v\n%s", err, src)
-	}
+	requireClean(t, src)
 	if !strings.Contains(src, "u0_sub <= 1'b1") {
 		t.Error("subtraction not driven")
 	}
