@@ -16,7 +16,6 @@ import (
 	mwl "repro"
 	"repro/internal/bind"
 	"repro/internal/core"
-	"repro/internal/dfg"
 	"repro/internal/expt"
 	"repro/internal/ilp"
 	"repro/internal/pipeline"
@@ -315,11 +314,7 @@ func BenchmarkAblationEqn3(b *testing.B) {
 		// Fully refine to expose kind conflicts, as after many DPAlloc
 		// iterations.
 		c := w.Clone()
-		for o := 0; o < c.D.N(); o++ {
-			for c.Reducible(dfg.OpID(o)) {
-				c.DeleteMaxLatencyEdges(dfg.OpID(o))
-			}
-		}
+		c.FullyRefine()
 		return c
 	}
 	b.Run("eqn3", func(b *testing.B) {

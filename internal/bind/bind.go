@@ -119,18 +119,51 @@ func betterEntry(a, b kindEntry) bool {
 
 // SelectStats is SelectOpt, additionally reporting effort counters.
 func SelectStats(g *wcg.Graph, start []int, opt Options) (*Binding, Stats, error) {
+	return new(Scratch).SelectStats(g, start, opt)
+}
+
+// Scratch is the working memory of BindSelect: the reserved intervals,
+// coverage flags, the per-kind interval lists (one entry per H edge, by
+// far the largest buffer) and the selection heap. A caller binding once
+// per schedule/bind/refine round keeps one Scratch for the whole ladder
+// so those buffers are allocated once rather than every round. The zero
+// value is ready to use; a Scratch must not be used by two goroutines
+// at once.
+//
+// Each buffer is reset with append(buf[:0], make([]T, n)...), which the
+// compiler turns into zeroing the reused capacity when it suffices.
+type Scratch struct {
+	iv        []wcg.Interval
+	covered   []bool
+	buf       []wcg.Interval
+	sortedOps [][]wcg.Interval
+	endK      []int
+	sizeK     []int
+	chain     []wcg.Interval
+	perm, tmp []dfg.OpID
+	cnt       []int
+	heap      entryHeap
+	cliques   []liveClique
+	merge     []wcg.Interval
+}
+
+// SelectStats is the package-level SelectStats running in s. The
+// returned Binding does not alias s.
+func (s *Scratch) SelectStats(g *wcg.Graph, start []int, opt Options) (*Binding, Stats, error) {
 	var st Stats
 	n := g.D.N()
 	if len(start) != n {
 		return nil, st, fmt.Errorf("bind: %d start steps for %d operations", len(start), n)
 	}
-	iv := make([]wcg.Interval, n)
+	iv := append(s.iv[:0], make([]wcg.Interval, n)...)
+	s.iv = iv
 	for o := 0; o < n; o++ {
 		id := dfg.OpID(o)
 		iv[o] = wcg.Interval{Op: id, Start: start[o], End: start[o] + g.UpperLatency(id)}
 	}
 
-	covered := make([]bool, n)
+	covered := append(s.covered[:0], make([]bool, n)...)
+	s.covered = covered
 	remaining := n
 
 	// The reserved intervals are fixed for the whole selection, so the
@@ -140,9 +173,11 @@ func SelectStats(g *wcg.Graph, start []int, opt Options) (*Binding, Stats, error
 	// plus one append per H edge yields every kind's compatible
 	// operations in interval order, and every later chain extraction is
 	// a linear greedy walk with no sorting.
-	perm := sortByInterval(iv)
-	buf := make([]wcg.Interval, g.NumHEdges())
-	sortedOps := make([][]wcg.Interval, len(g.Kinds))
+	perm := s.sortByInterval(iv)
+	buf := append(s.buf[:0], make([]wcg.Interval, g.NumHEdges())...)
+	s.buf = buf
+	sortedOps := append(s.sortedOps[:0], make([][]wcg.Interval, len(g.Kinds))...)
+	s.sortedOps = sortedOps
 	off := 0
 	for ki := range sortedOps {
 		c := g.CompatOpCount(ki)
@@ -155,8 +190,9 @@ func SelectStats(g *wcg.Graph, start []int, opt Options) (*Binding, Stats, error
 	// seeding costs nothing beyond the distribution itself. The interval
 	// itself is stored in the kind's list (not just the ID): the chain
 	// walks below then run over contiguous memory with no random loads.
-	endK := make([]int, len(g.Kinds))
-	sizeK := make([]int, len(g.Kinds))
+	endK := append(s.endK[:0], make([]int, len(g.Kinds))...)
+	sizeK := append(s.sizeK[:0], make([]int, len(g.Kinds))...)
+	s.endK, s.sizeK = endK, sizeK
 	for _, o := range perm {
 		v := iv[o]
 		for _, ki := range g.CompatKinds(o) {
@@ -175,7 +211,7 @@ func SelectStats(g *wcg.Graph, start []int, opt Options) (*Binding, Stats, error
 	// Coverage is monotone, so covered operations are compacted out of
 	// the kind's list as a side effect: repeated evaluations of the same
 	// kind walk only its still-uncovered operations.
-	chain := make([]wcg.Interval, 0, n)
+	chain := s.chain[:0]
 	chainFor := func(ki int) []wcg.Interval {
 		chain = chain[:0]
 		ops := sortedOps[ki]
@@ -199,7 +235,7 @@ func SelectStats(g *wcg.Graph, start []int, opt Options) (*Binding, Stats, error
 		return chain
 	}
 
-	var heap entryHeap
+	heap := s.heap[:0]
 	for ki, c := range sizeK {
 		if c > 0 {
 			heap.push(kindEntry{ki: ki, size: c, cost: kindArea(g, ki)})
@@ -207,8 +243,7 @@ func SelectStats(g *wcg.Graph, start []int, opt Options) (*Binding, Stats, error
 		}
 	}
 
-	var cliques []liveClique
-	var mergeScratch []wcg.Interval
+	cliques := s.cliques[:0]
 	for remaining > 0 {
 		if len(heap) == 0 {
 			return nil, st, fmt.Errorf("bind: %d operations have no compatible kind", remaining)
@@ -228,7 +263,7 @@ func SelectStats(g *wcg.Graph, start []int, opt Options) (*Binding, Stats, error
 			remaining--
 		}
 		if !opt.DisableGrowth {
-			cliques = grow(g, cliques, &k, &mergeScratch, &st)
+			cliques = grow(g, cliques, &k, &s.merge, &st)
 		}
 		cliques = append(cliques, k)
 		// The kind may still have uncovered (overlapping) operations and
@@ -238,16 +273,23 @@ func SelectStats(g *wcg.Graph, start []int, opt Options) (*Binding, Stats, error
 		// empty chain and drops out when popped.
 		heap.push(kindEntry{ki: e.ki, size: e.size, cost: e.cost})
 	}
+	s.chain, s.heap = chain, heap
 
+	// Every operation sits in exactly one clique, so all member lists
+	// share one n-element backing array.
 	out := make([]Clique, len(cliques))
+	flat := make([]dfg.OpID, 0, n)
 	for ci, lc := range cliques {
-		ops := make([]dfg.OpID, len(lc.ivs))
-		for i, v := range lc.ivs {
-			ops[i] = v.Op
+		lo := len(flat)
+		for _, v := range lc.ivs {
+			flat = append(flat, v.Op)
 		}
+		ops := flat[lo:len(flat):len(flat)]
 		slices.Sort(ops)
 		out[ci] = Clique{Kind: lc.kind, Ops: ops}
 	}
+	clear(cliques) // drop the interval chains for the collector
+	s.cliques = cliques[:0]
 	if !opt.DisableShrink {
 		for i := range out {
 			out[i].Kind = cheapestCommonKind(g, out[i].Ops)
@@ -341,8 +383,8 @@ func cmpInterval(a, b wcg.Interval) int {
 // their intervals: a two-pass LSD counting sort (stable, by start then by
 // end, seeded with ID-ascending order so ties resolve by ID). Start and
 // end values are bounded by the schedule makespan, so this is O(n +
-// makespan) with no comparator calls.
-func sortByInterval(iv []wcg.Interval) []dfg.OpID {
+// makespan) with no comparator calls. The result aliases s.
+func (s *Scratch) sortByInterval(iv []wcg.Interval) []dfg.OpID {
 	n := len(iv)
 	maxKey := 0
 	for _, v := range iv {
@@ -350,9 +392,10 @@ func sortByInterval(iv []wcg.Interval) []dfg.OpID {
 			maxKey = v.End
 		}
 	}
-	cnt := make([]int, maxKey+2)
-	perm := make([]dfg.OpID, n)
-	tmp := make([]dfg.OpID, n)
+	cnt := append(s.cnt[:0], make([]int, maxKey+2)...)
+	perm := append(s.perm[:0], make([]dfg.OpID, n)...)
+	tmp := append(s.tmp[:0], make([]dfg.OpID, n)...)
+	s.cnt, s.perm, s.tmp = cnt, perm, tmp
 	for i := range perm {
 		perm[i] = dfg.OpID(i)
 	}

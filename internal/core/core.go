@@ -29,6 +29,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"runtime"
+	"sync"
 
 	"repro/internal/bind"
 	"repro/internal/datapath"
@@ -100,6 +103,11 @@ func Allocate(d *dfg.Graph, lib *model.Library, lambda int, opt Options) (*datap
 // AllocateCtx is Allocate with cancellation: the schedule/bind/refine
 // loop and the outer resource-bound search check ctx between rounds and
 // return ctx.Err() promptly once it is done.
+//
+// The automatic search on a graph of at least BatchMinOps operations
+// runs the ladders of up to GOMAXPROCS resource-bound configurations at
+// once, speculatively; the datapath and Stats are identical to trying
+// one configuration at a time.
 func AllocateCtx(ctx context.Context, d *dfg.Graph, lib *model.Library, lambda int, opt Options) (*datapath.Datapath, Stats, error) {
 	var stats Stats
 	if err := d.Validate(); err != nil {
@@ -113,55 +121,233 @@ func AllocateCtx(ctx context.Context, d *dfg.Graph, lib *model.Library, lambda i
 		dp, err := allocateFixed(ctx, d, lib, lambda, opt, opt.Limits, &stats)
 		return dp, stats, err
 	}
+	s := newSearch(d, lib, lambda, opt)
+	if workers := runtime.GOMAXPROCS(0); d.N() >= BatchMinOps && workers > 1 {
+		return s.speculative(ctx, workers, nil)
+	}
+	return s.sequential(ctx)
+}
 
-	// Automatic minimal-resource search.
-	count := make(map[model.OpType]int)
-	busy := make(map[model.OpType]int) // Σ minimum latencies per class
+// search is the automatic minimal-resource search of one solve.
+type search struct {
+	d      *dfg.Graph
+	lib    *model.Library
+	lambda int
+	opt    Options
+	// count and busy are per hardware class: the number of operations
+	// and Σ ℓ_min, the inputs of blame.
+	count, busy map[model.OpType]int
+	// first is the first configuration: every class at its utilisation
+	// lower bound.
+	first sched.Limits
+}
+
+func newSearch(d *dfg.Graph, lib *model.Library, lambda int, opt Options) *search {
+	s := &search{
+		d: d, lib: lib, lambda: lambda, opt: opt,
+		count: make(map[model.OpType]int),
+		busy:  make(map[model.OpType]int),
+	}
 	for _, o := range d.Ops() {
 		y := o.Spec.Type.HardwareClass()
-		count[y]++
-		busy[y] += model.MinLatency(o.Spec, lib)
+		s.count[y]++
+		s.busy[y] += model.MinLatency(o.Spec, lib)
 	}
-	limits := make(sched.Limits, len(count))
-	for y, b := range busy {
+	s.first = make(sched.Limits, len(s.count))
+	for y, b := range s.busy {
 		n := 1
 		if lambda > 0 {
 			n = (b + lambda - 1) / lambda
 		}
-		if n < 1 {
-			n = 1
-		}
-		if n > count[y] {
-			n = count[y]
-		}
-		limits[y] = n
+		s.first[y] = min(max(n, 1), s.count[y])
 	}
+	return s
+}
 
+// next returns the configuration to try after limits failed with err,
+// an ErrInfeasible, or false when no class can grow. limits is not
+// modified.
+func (s *search) next(err error, limits sched.Limits) (sched.Limits, bool) {
+	y, need, ok := blame(err, s.d, s.lib, limits, s.count, s.busy, s.lambda)
+	if !ok {
+		return nil, false
+	}
+	// Small graphs probe one unit at a time — the paper-exact first-
+	// feasible search. Large graphs jump by the scheduler's reported
+	// deficit, which collapses runs of configurations that Eqn. 3
+	// rejects by more than one whole resource.
+	if s.d.N() < BatchMinOps || need < 1 {
+		need = 1
+	}
+	nx := maps.Clone(limits)
+	nx[y] = min(limits[y]+need, s.count[y])
+	return nx, true
+}
+
+// exhausted is the error of a search that ran out of classes to grow.
+func (s *search) exhausted() error {
+	return fmt.Errorf("%w: λ=%d (λ_min may exceed it)", ErrInfeasible, s.lambda)
+}
+
+// sequential tries one configuration at a time, growing the blamed class
+// after each failure until one succeeds.
+func (s *search) sequential(ctx context.Context) (*datapath.Datapath, Stats, error) {
+	var stats Stats
+	limits := s.first
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, stats, err
 		}
 		stats.Configs++
-		dp, err := allocateFixed(ctx, d, lib, lambda, opt, limits, &stats)
+		dp, err := allocateFixed(ctx, s.d, s.lib, s.lambda, s.opt, limits, &stats)
 		if err == nil {
 			return dp, stats, nil
 		}
 		if !errors.Is(err, ErrInfeasible) {
 			return nil, stats, err
 		}
-		y, need, ok := blame(err, d, lib, limits, count, busy, lambda)
-		if !ok {
-			return nil, stats, fmt.Errorf("%w: λ=%d (λ_min may exceed it)", ErrInfeasible, lambda)
+		var ok bool
+		if limits, ok = s.next(err, limits); !ok {
+			return nil, stats, s.exhausted()
 		}
-		// Small graphs probe one unit at a time — the paper-exact first-
-		// feasible search. Large graphs jump by the scheduler's reported
-		// deficit, which collapses runs of configurations that Eqn. 3
-		// rejects by more than one whole resource.
-		if d.N() < BatchMinOps || need < 1 {
-			need = 1
-		}
-		limits[y] = min(limits[y]+need, count[y])
 	}
+}
+
+// speculative is sequential with up to workers configurations' ladders
+// running at once, each on its own clone of one compatibility graph.
+//
+// A ladder can only fail at the refinement fixpoint G_min, where no
+// operation is Reducible (given a victim policy that finds a reducible
+// candidate whenever one exists, as both refine policies do), and G_min
+// is unique (wcg.FullyRefine). So the
+// error a failing ladder reports is the one scheduling G_min under its
+// limits gives — or, when G_min schedules but binds above λ, a plain
+// ErrInfeasible — and the configuration after it is known after one
+// schedule and bind of G_min, long before the ladder itself ends. The
+// search launches ladders along that predicted chain and commits their
+// results strictly in order: on a failure it derives the true next
+// configuration with blame exactly as sequential does, and if the
+// ladder already running next is not for it, cancels every ladder in
+// flight and restarts the chain there. A misprediction therefore costs
+// time, never a different answer: Stats sums the committed ladders
+// only, so the answer, its Stats and the order of configurations tried
+// are those of sequential for every worker count.
+//
+// skew, when non-nil, rewrites every predicted configuration; tests use
+// it to force mispredictions.
+func (s *search) speculative(ctx context.Context, workers int, skew func(sched.Limits)) (*datapath.Datapath, Stats, error) {
+	var stats Stats
+	base, err := buildWCG(s.d, s.lib, s.opt)
+	if err != nil {
+		return nil, stats, err
+	}
+	// Memoize the topological order before the clones share it.
+	if _, err := base.TopoOrder(); err != nil {
+		return nil, stats, err
+	}
+	pred := predictor{s: s, g: base.Clone()}
+	pred.g.FullyRefine()
+
+	type result struct {
+		dp    *datapath.Datapath
+		stats Stats
+		err   error
+	}
+	type ladder struct {
+		limits sched.Limits
+		cancel context.CancelFunc
+		done   chan result // buffered: the ladder never blocks on send
+	}
+	var wg sync.WaitGroup
+	var inflight []*ladder
+	drop := func() {
+		for _, l := range inflight {
+			l.cancel()
+		}
+		wg.Wait()
+		inflight = inflight[:0]
+	}
+	defer drop()
+
+	// spec is the next configuration to launch; more is false once the
+	// predicted chain has ended at a predicted success.
+	spec, more := s.first, true
+	for {
+		if err := ctx.Err(); err != nil {
+			return nil, stats, err
+		}
+		for len(inflight) < workers && more {
+			lctx, cancel := context.WithCancel(ctx)
+			l := &ladder{limits: spec, cancel: cancel, done: make(chan result, 1)}
+			inflight = append(inflight, l)
+			wg.Add(1)
+			//mwlvet:allow boundedspawn -- at most GOMAXPROCS ladders in flight
+			go func() {
+				defer wg.Done()
+				var st Stats
+				dp, err := runLadder(lctx, base.Clone(), s.lambda, s.opt, l.limits, &st)
+				l.done <- result{dp, st, err}
+			}()
+			spec, more = pred.next(spec)
+			if more && skew != nil {
+				skew(spec)
+			}
+		}
+
+		l := inflight[0]
+		r := <-l.done
+		l.cancel()
+		inflight = inflight[1:]
+		stats.Configs++
+		stats.Iterations += r.stats.Iterations
+		stats.Refinements += r.stats.Refinements
+		stats.EdgesDeleted += r.stats.EdgesDeleted
+		stats.Merges += r.stats.Merges
+		stats.Evals += r.stats.Evals
+		stats.Kinds = r.stats.Kinds
+		if r.err == nil {
+			return r.dp, stats, nil
+		}
+		if !errors.Is(r.err, ErrInfeasible) {
+			return nil, stats, r.err
+		}
+		want, ok := s.next(r.err, l.limits)
+		if !ok {
+			return nil, stats, s.exhausted()
+		}
+		if len(inflight) == 0 || !maps.Equal(inflight[0].limits, want) {
+			// Misprediction, or the predicted chain ended early.
+			drop()
+			spec, more = want, true
+		}
+	}
+}
+
+// predictor forecasts the automatic search's chain of configurations on
+// the refinement fixpoint G_min.
+type predictor struct {
+	s     *search
+	g     *wcg.Graph // G_min, owned by the predictor
+	sched sched.Scratch
+	bind  bind.Scratch
+}
+
+// next returns the configuration the search tries after limits, on the
+// premise that limits fails, and false when limits is predicted to
+// succeed or the search would end there.
+func (p *predictor) next(limits sched.Limits) (sched.Limits, bool) {
+	r, err := p.sched.List(p.g, limits)
+	switch {
+	case err == nil:
+		b, _, err := p.bind.SelectStats(p.g, r.Start, bindOptions(p.s.opt))
+		if err != nil || makespan(p.g, r.Start, b) <= p.s.lambda {
+			return nil, false
+		}
+		return p.s.next(ErrInfeasible, limits)
+	case errors.Is(err, sched.ErrResourceInfeasible):
+		return p.s.next(err, limits)
+	}
+	return nil, false
 }
 
 // blame picks the hardware class whose resource bound should grow after
@@ -212,13 +398,30 @@ func allocateFixed(ctx context.Context, d *dfg.Graph, lib *model.Library, lambda
 	if err != nil {
 		return nil, err
 	}
+	return runLadder(ctx, g, lambda, opt, limits, stats)
+}
+
+func bindOptions(opt Options) bind.Options {
+	return bind.Options{DisableGrowth: opt.DisableGrowth, DisableShrink: opt.DisableShrink}
+}
+
+// runLadder runs the schedule/bind/refine ladder of one configuration on
+// g, which it refines in place, adding its effort to stats.
+func runLadder(ctx context.Context, g *wcg.Graph, lambda int, opt Options, limits sched.Limits, stats *Stats) (*datapath.Datapath, error) {
+	d, lib := g.D, g.Lib
 	stats.Kinds = len(g.Kinds)
 
 	pick := opt.Victim
 	if pick == nil {
 		pick = refine.ChooseVictim
 	}
-	bindOpt := bind.Options{DisableGrowth: opt.DisableGrowth, DisableShrink: opt.DisableShrink}
+	bindOpt := bindOptions(opt)
+	// Per-round working memory, reused across the ladder's rounds.
+	var (
+		ss sched.Scratch
+		bs bind.Scratch
+		rs refine.Scratch
+	)
 
 	// Refinement batch caps (see Options.RefineBatch). batchA is the
 	// fixed batch for Eqn. 3 deadlock rounds, which expose no distance
@@ -243,7 +446,7 @@ func allocateFixed(ctx context.Context, d *dfg.Graph, lib *model.Library, lambda
 			return nil, err
 		}
 		stats.Iterations++
-		r, schedErr := sched.List(g, limits)
+		r, schedErr := ss.List(g, limits)
 		if schedErr != nil {
 			if !errors.Is(schedErr, sched.ErrResourceInfeasible) {
 				return nil, schedErr
@@ -277,15 +480,15 @@ func allocateFixed(ctx context.Context, d *dfg.Graph, lib *model.Library, lambda
 			}
 			continue
 		}
-		b, bst, err := bind.SelectStats(g, r.Start, bindOpt)
+		b, bst, err := bs.SelectStats(g, r.Start, bindOpt)
 		if err != nil {
 			return nil, err
 		}
 		stats.Merges += bst.Merges
 		stats.Evals += bst.Evals
-		dp := toDatapath(g, r.Start, b)
-		m := dp.Makespan(lib)
+		m := makespan(g, r.Start, b)
 		if m <= lambda {
+			dp := toDatapath(g, r.Start, b)
 			if err := dp.Verify(d, lib, lambda); err != nil {
 				return nil, fmt.Errorf("core: internal error, produced illegal datapath: %w", err)
 			}
@@ -295,7 +498,7 @@ func allocateFixed(ctx context.Context, d *dfg.Graph, lib *model.Library, lambda
 		// approach to λ reverts to the paper's single step.
 		k := min(batchB, max(1, (m-lambda)/4))
 		edges := g.NumHEdges()
-		refined := refine.StepBatch(g, r.Start, b, lambda, pick, k)
+		refined := rs.StepBatch(g, r.Start, b, lambda, pick, k)
 		if refined == 0 {
 			return nil, fmt.Errorf("%w: λ=%d below achievable latency %d", ErrInfeasible, lambda, m)
 		}
@@ -324,6 +527,16 @@ func ownKinds(d *dfg.Graph) []model.Kind {
 		}
 	}
 	return kinds
+}
+
+// makespan is the makespan of toDatapath(g, start, b) without building
+// the datapath.
+func makespan(g *wcg.Graph, start []int, b *bind.Binding) int {
+	m := 0
+	for o, t := range start {
+		m = max(m, t+b.BoundLatency(g, dfg.OpID(o)))
+	}
+	return m
 }
 
 // toDatapath converts a schedule plus binding into the common result

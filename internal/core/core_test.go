@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -215,7 +216,9 @@ func TestStatsAccounting(t *testing.T) {
 // TestAllocateCancellationAtScale: a full 1000-operation solve takes
 // seconds on this corpus; cancelling the context must cut it off within
 // a round or two of the inner loop, not after the configuration ladder
-// has run to completion.
+// has run to completion — on the one-at-a-time search and on the
+// speculative one, whose ladders must all have exited by the time it
+// returns.
 func TestAllocateCancellationAtScale(t *testing.T) {
 	lib := model.Default()
 	g, err := tgff.Generate(tgff.Config{N: 1000, Seed: 2001})
@@ -226,19 +229,50 @@ func TestAllocateCancellationAtScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	defer cancel()
-	t0 := time.Now()
-	_, _, err = AllocateCtx(ctx, g, lib, lmin+lmin/5, Options{})
-	elapsed := time.Since(t0)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-	}
-	// Generous bound: a single scheduling round at N=1000 is tens of
-	// milliseconds, the full solve is seconds. Well under the full solve
-	// proves the loops poll ctx rather than checking only on entry.
-	if elapsed > 3*time.Second {
-		t.Fatalf("cancellation took %v; ctx not polled promptly", elapsed)
+	lambda := lmin + lmin/5
+	s := newSearch(g, lib, lambda, Options{})
+	for _, run := range []struct {
+		name  string
+		solve func(context.Context) error
+	}{
+		{"AllocateCtx", func(ctx context.Context) error {
+			_, _, err := AllocateCtx(ctx, g, lib, lambda, Options{})
+			return err
+		}},
+		{"sequential", func(ctx context.Context) error {
+			_, _, err := s.sequential(ctx)
+			return err
+		}},
+		{"speculative", func(ctx context.Context) error {
+			_, _, err := s.speculative(ctx, 4, nil)
+			return err
+		}},
+	} {
+		goroutines := runtime.NumGoroutine()
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		t0 := time.Now()
+		err := run.solve(ctx)
+		elapsed := time.Since(t0)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s: err = %v, want context.DeadlineExceeded", run.name, err)
+		}
+		// Generous bound: a single scheduling round at N=1000 is tens of
+		// milliseconds, the full solve is seconds. Well under the full
+		// solve proves the loops poll ctx rather than checking only on
+		// entry.
+		if elapsed > 3*time.Second {
+			t.Fatalf("%s: cancellation took %v; ctx not polled promptly", run.name, elapsed)
+		}
+		// A ladder signals the search's WaitGroup as its last act, so it
+		// may still be exiting just after the search returns.
+		deadline := time.Now().Add(time.Second)
+		for runtime.NumGoroutine() > goroutines && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > goroutines {
+			t.Fatalf("%s: %d goroutines a second after the solve returned, %d before", run.name, n, goroutines)
+		}
 	}
 }
 

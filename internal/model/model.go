@@ -120,7 +120,9 @@ func (k Kind) Covers(t OpType, o Signature) bool {
 // Latency returns the cycle count of a resource kind at the target clock
 // rate; it must be monotone non-decreasing under signature covering, and
 // >= 1. Area returns the silicon cost of one instance; it must be
-// strictly positive and monotone under covering.
+// strictly positive and monotone under covering. Both must be safe to
+// call from several goroutines at once: large solves and portfolio
+// races share one Library between goroutines.
 type Library struct {
 	Latency func(Kind) int
 	Area    func(Kind) int64

@@ -25,28 +25,52 @@ import (
 // operations critical in the sequencing graph augmented with
 // same-resource adjacency edges (Eqn. 7), evaluated with bound latencies.
 func BoundCriticalPath(g *wcg.Graph, start []int, b *bind.Binding) []dfg.OpID {
+	return new(Scratch).boundCriticalPath(g, start, b)
+}
+
+// Scratch is the refinement step's working memory: the flat arrays of
+// the bound-critical-path analysis and the candidate lists. A caller
+// refining once per schedule/bind/refine round keeps one Scratch for the
+// whole ladder so those arrays are allocated once rather than every
+// round. The zero value is ready to use; a Scratch must not be used by
+// two goroutines at once.
+//
+// Each buffer is reset with append(buf[:0], make([]T, n)...), which the
+// compiler turns into zeroing the reused capacity when it suffices.
+type Scratch struct {
+	ell, next, cnt, asap, alap []int
+	order, byStart             []dfg.OpID
+	crit, w, all               []dfg.OpID
+}
+
+// boundCriticalPath is BoundCriticalPath; the result aliases s.
+func (s *Scratch) boundCriticalPath(g *wcg.Graph, start []int, b *bind.Binding) []dfg.OpID {
 	d := g.D
 	n := d.N()
 	if n == 0 {
 		return nil
 	}
-	ell := make([]int, n)
+	s.ell = append(s.ell[:0], make([]int, n)...)
+	ell := s.ell
 	for o := 0; o < n; o++ {
 		ell[o] = b.BoundLatency(g, dfg.OpID(o))
 	}
 
-	succ := make([][]dfg.OpID, n)
-	for o := 0; o < n; o++ {
-		succ[o] = append(succ[o], d.Succ(dfg.OpID(o))...)
-	}
 	// S_b: for each clique, link operations executing back-to-back with
 	// no slack: start(o1) + ℓ(o1) == start(o2). Clique members occupy
 	// pairwise disjoint reserved intervals with L_o ≥ ℓ(o) ≥ 1, so a
 	// zero-slack pair is necessarily adjacent in start order (any third
 	// member between them would have to both finish before and start
 	// after the same step): sorting the clique by start and checking
-	// consecutive pairs finds every S_b edge in O(m log m).
-	var byStart []dfg.OpID
+	// consecutive pairs finds every S_b edge in O(m log m). Each
+	// operation sits in exactly one clique, so S_b gives it at most one
+	// successor: next[o], or -1, beside its sequencing-graph successors.
+	s.next = append(s.next[:0], make([]int, n)...)
+	next := s.next
+	for o := range next {
+		next[o] = -1
+	}
+	byStart := s.byStart
 	for _, k := range b.Cliques {
 		byStart = append(byStart[:0], k.Ops...)
 		// Clique members occupy disjoint intervals, so starts are
@@ -55,10 +79,11 @@ func BoundCriticalPath(g *wcg.Graph, start []int, b *bind.Binding) []dfg.OpID {
 		for i := 1; i < len(byStart); i++ {
 			o1, o2 := byStart[i-1], byStart[i]
 			if start[o1]+ell[o1] == start[o2] {
-				succ[o1] = append(succ[o1], o2)
+				next[o1] = int(o2)
 			}
 		}
 	}
+	s.byStart = byStart
 
 	// All augmented edges strictly increase start (latencies are >= 1 and
 	// schedules respect precedence with L_o >= ℓ(o)), so the augmented
@@ -71,25 +96,30 @@ func BoundCriticalPath(g *wcg.Graph, start []int, b *bind.Binding) []dfg.OpID {
 			maxStart = start[o]
 		}
 	}
-	cnt := make([]int, maxStart+2)
+	s.cnt = append(s.cnt[:0], make([]int, maxStart+2)...)
+	cnt := s.cnt
 	for o := 0; o < n; o++ {
 		cnt[start[o]+1]++
 	}
 	for k := 1; k < len(cnt); k++ {
 		cnt[k] += cnt[k-1]
 	}
-	order := make([]dfg.OpID, n)
+	s.order = append(s.order[:0], make([]dfg.OpID, n)...)
+	order := s.order
 	for o := 0; o < n; o++ {
 		order[cnt[start[o]]] = dfg.OpID(o)
 		cnt[start[o]]++
 	}
 
-	asap := make([]int, n)
+	s.asap = append(s.asap[:0], make([]int, n)...)
+	asap := s.asap
 	for _, o := range order {
-		for _, s := range succ[o] {
-			if v := asap[o] + ell[o]; v > asap[s] {
-				asap[s] = v
-			}
+		v := asap[o] + ell[o]
+		for _, u := range d.Succ(o) {
+			asap[u] = max(asap[u], v)
+		}
+		if u := next[o]; u >= 0 {
+			asap[u] = max(asap[u], v)
 		}
 	}
 	makespan := 0
@@ -98,25 +128,28 @@ func BoundCriticalPath(g *wcg.Graph, start []int, b *bind.Binding) []dfg.OpID {
 			makespan = f
 		}
 	}
-	alap := make([]int, n)
+	s.alap = append(s.alap[:0], make([]int, n)...)
+	alap := s.alap
 	for o := range alap {
 		alap[o] = makespan - ell[o]
 	}
 	for i := n - 1; i >= 0; i-- {
 		o := order[i]
-		for _, s := range succ[o] {
-			if v := alap[s] - ell[o]; v < alap[o] {
-				alap[o] = v
-			}
+		for _, u := range d.Succ(o) {
+			alap[o] = min(alap[o], alap[u]-ell[o])
+		}
+		if u := next[o]; u >= 0 {
+			alap[o] = min(alap[o], alap[u]-ell[o])
 		}
 	}
 
-	var crit []dfg.OpID
+	crit := s.crit[:0]
 	for o := 0; o < n; o++ {
 		if asap[o] == alap[o] {
 			crit = append(crit, dfg.OpID(o))
 		}
 	}
+	s.crit = crit
 	return crit
 }
 
@@ -125,13 +158,17 @@ func BoundCriticalPath(g *wcg.Graph, start []int, b *bind.Binding) []dfg.OpID {
 // latency. At least one member of W must be refined for the constraint
 // to become satisfiable.
 func Candidates(g *wcg.Graph, start []int, qb []dfg.OpID, lambda int) []dfg.OpID {
-	var w []dfg.OpID
+	return appendCandidates(nil, g, start, qb, lambda)
+}
+
+// appendCandidates appends W to dst.
+func appendCandidates(dst []dfg.OpID, g *wcg.Graph, start []int, qb []dfg.OpID, lambda int) []dfg.OpID {
 	for _, o := range qb {
 		if start[o]+g.UpperLatency(o) <= lambda {
-			w = append(w, o)
+			dst = append(dst, o)
 		}
 	}
-	return w
+	return dst
 }
 
 // ChooseVictim selects the operation to refine from the candidate set
@@ -222,59 +259,55 @@ func Step(g *wcg.Graph, start []int, b *bind.Binding, lambda int) (dfg.OpID, boo
 // like StepWithPolicy. Returns the number of operations refined; 0 means
 // nothing anywhere is reducible.
 func StepBatch(g *wcg.Graph, start []int, b *bind.Binding, lambda int, pick Policy, k int) int {
-	if k <= 1 {
-		if _, ok := StepWithPolicy(g, start, b, lambda, pick); ok {
-			return 1
-		}
-		return 0
-	}
-	qb := BoundCriticalPath(g, start, b)
-	w := Candidates(g, start, qb, lambda)
-	done := 0
-	for done < k {
-		o, ok := pick(g, b, w)
+	return new(Scratch).StepBatch(g, start, b, lambda, pick, k)
+}
+
+// StepBatch is the package-level StepBatch running in s.
+func (s *Scratch) StepBatch(g *wcg.Graph, start []int, b *bind.Binding, lambda int, pick Policy, k int) int {
+	_, done := s.step(g, start, b, lambda, pick, k)
+	return done
+}
+
+// StepWithPolicy is Step with an explicit victim-selection policy.
+func StepWithPolicy(g *wcg.Graph, start []int, b *bind.Binding, lambda int, pick Policy) (dfg.OpID, bool) {
+	o, done := new(Scratch).step(g, start, b, lambda, pick, 1)
+	return o, done > 0
+}
+
+// step refines up to max(k, 1) victims from W, else one from Q_b, else
+// one from the whole operation set, and returns the first victim and
+// the number refined.
+func (s *Scratch) step(g *wcg.Graph, start []int, b *bind.Binding, lambda int, pick Policy, k int) (dfg.OpID, int) {
+	qb := s.boundCriticalPath(g, start, b)
+	s.w = appendCandidates(s.w[:0], g, start, qb, lambda)
+	first, done := dfg.OpID(0), 0
+	for done < max(k, 1) {
+		o, ok := pick(g, b, s.w)
 		if !ok {
 			break
+		}
+		if done == 0 {
+			first = o
 		}
 		g.DeleteMaxLatencyEdges(o)
 		done++
 	}
 	if done > 0 {
-		return done
+		return first, done
 	}
 	if o, ok := pick(g, b, qb); ok {
 		g.DeleteMaxLatencyEdges(o)
-		return 1
+		return o, 1
 	}
-	all := make([]dfg.OpID, g.D.N())
-	for i := range all {
-		all[i] = dfg.OpID(i)
+	if len(s.all) != g.D.N() {
+		s.all = make([]dfg.OpID, g.D.N())
+		for i := range s.all {
+			s.all[i] = dfg.OpID(i)
+		}
 	}
-	if o, ok := pick(g, b, all); ok {
+	if o, ok := pick(g, b, s.all); ok {
 		g.DeleteMaxLatencyEdges(o)
-		return 1
+		return o, 1
 	}
-	return 0
-}
-
-// StepWithPolicy is Step with an explicit victim-selection policy.
-func StepWithPolicy(g *wcg.Graph, start []int, b *bind.Binding, lambda int, pick Policy) (dfg.OpID, bool) {
-	qb := BoundCriticalPath(g, start, b)
-	if o, ok := pick(g, b, Candidates(g, start, qb, lambda)); ok {
-		g.DeleteMaxLatencyEdges(o)
-		return o, true
-	}
-	if o, ok := pick(g, b, qb); ok {
-		g.DeleteMaxLatencyEdges(o)
-		return o, true
-	}
-	all := make([]dfg.OpID, g.D.N())
-	for i := range all {
-		all[i] = dfg.OpID(i)
-	}
-	if o, ok := pick(g, b, all); ok {
-		g.DeleteMaxLatencyEdges(o)
-		return o, true
-	}
-	return 0, false
+	return 0, 0
 }

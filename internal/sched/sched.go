@@ -73,8 +73,23 @@ func (e *InfeasibleError) Is(target error) bool { return target == ErrResourceIn
 // kind-adjacency bit sets against the uncovered set, so each round is
 // O(|R| · n/64) rather than a per-kind operation-list scan.
 func SchedulingSet(g *wcg.Graph) []int {
+	return new(Scratch).schedulingSet(g)
+}
+
+// setCand is a lazily maintained candidate of the scheduling-set cover:
+// the last known number of uncovered operations a kind covers.
+type setCand struct {
+	ki    int
+	cover int
+	area  int64
+}
+
+// schedulingSet is SchedulingSet with its uncovered set and candidate
+// heap kept in s. The returned set is freshly allocated.
+func (s *Scratch) schedulingSet(g *wcg.Graph) []int {
 	n := g.D.N()
-	uncovered := bitset.New(n)
+	s.uncovered = append(s.uncovered[:0], make([]uint64, (n+63)/64)...) // the words of bitset.New(n)
+	uncovered := s.uncovered
 	for i := 0; i < n; i++ {
 		uncovered.Add(i)
 	}
@@ -85,11 +100,7 @@ func SchedulingSet(g *wcg.Graph) []int {
 	// count validates, beats every other kind — the selection sequence
 	// is identical to rescanning all kinds each round. The comparator
 	// (cover desc, area asc, index asc) reproduces the scan's winner.
-	type cand struct {
-		ki    int
-		cover int
-		area  int64
-	}
+	type cand = setCand
 	better := func(a, b cand) bool {
 		if a.cover != b.cover {
 			return a.cover > b.cover
@@ -99,7 +110,7 @@ func SchedulingSet(g *wcg.Graph) []int {
 		}
 		return a.ki < b.ki
 	}
-	var h []cand
+	h := s.setHeap[:0]
 	push := func(v cand) {
 		h = append(h, v)
 		for i := len(h) - 1; i > 0; {
@@ -159,6 +170,7 @@ func SchedulingSet(g *wcg.Graph) []int {
 		uncovered.Difference(g.CompatOpBits(e.ki))
 		// A selected kind's future cover is zero; it never re-enters.
 	}
+	s.setHeap = h
 	sort.Ints(set)
 	return set
 }
@@ -175,7 +187,40 @@ const (
 // compatibility graph under Eqn. 3. With nil or empty limits it reduces
 // to ASAP scheduling.
 func List(g *wcg.Graph, limits Limits) (Result, error) {
-	return list(g, limits, modeEqn3)
+	return new(Scratch).List(g, limits)
+}
+
+// Scratch is the list scheduler's working memory: the Eqn. 3
+// accountant's per-operation arrays and per-slot load rows, the
+// scheduling-set heap, and the ready/pending bookkeeping. A caller
+// scheduling once per schedule/bind/refine round keeps one Scratch for
+// the whole ladder so those buffers are allocated once rather than every
+// round. The zero value is ready to use; a Scratch must not be used by
+// two goroutines at once.
+//
+// Each buffer is reset with append(buf[:0], make([]T, n)...), which the
+// compiler turns into zeroing the reused capacity when it suffices.
+type Scratch struct {
+	acct      eqn3Acct
+	uncovered bitset.Set
+	setHeap   []setCand
+	sigOf     map[uint64]int
+	sizes     []int
+	slotLimit []int64
+	prio      []int
+	predLeft  []int
+	finish    []int
+	ready     []dfg.OpID
+	incoming  []dfg.OpID
+	merged    []dfg.OpID
+	pending   pendHeap
+	running   intHeap
+}
+
+// List is the package-level List running in s. The Result does not
+// alias s.
+func (s *Scratch) List(g *wcg.Graph, limits Limits) (Result, error) {
+	return list(g, limits, modeEqn3, s)
 }
 
 // ListEqn2 schedules with the classical Eqn. 2 constraint (resource usage
@@ -183,10 +228,10 @@ func List(g *wcg.Graph, limits Limits) (Result, error) {
 // for the ablation benches; the paper shows this constraint is too weak
 // to guarantee bindability.
 func ListEqn2(g *wcg.Graph, limits Limits) (Result, error) {
-	return list(g, limits, modeEqn2)
+	return list(g, limits, modeEqn2, new(Scratch))
 }
 
-func list(g *wcg.Graph, limits Limits, mode constraintMode) (Result, error) {
+func list(g *wcg.Graph, limits Limits, mode constraintMode, s *Scratch) (Result, error) {
 	d := g.D
 	n := d.N()
 	lat := g.UpperLatSlice()
@@ -199,7 +244,9 @@ func list(g *wcg.Graph, limits Limits, mode constraintMode) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	prio := priorities(d, order, func(id dfg.OpID) int { return lat[id] })
+	s.prio = append(s.prio[:0], make([]int, n)...)
+	prio := s.prio
+	priorities(d, order, lat, prio)
 
 	// The accountant is devirtualized for the common Eqn. 3 case: the
 	// deferral-retry loop below queries feasibility roughly (ready ×
@@ -211,8 +258,8 @@ func list(g *wcg.Graph, limits Limits, mode constraintMode) (Result, error) {
 	if len(limits) > 0 {
 		switch mode {
 		case modeEqn3:
-			res.SchedSet = SchedulingSet(g)
-			a3 = newEqn3Accountant(g, res.SchedSet, limits)
+			res.SchedSet = s.schedulingSet(g)
+			a3 = s.eqn3Accountant(g, res.SchedSet, limits)
 			acct = a3
 			sig, sigEpoch, sigOkL, sigBadL = a3.sig, a3.sigEpoch, a3.sigOkL, a3.sigBadL
 		case modeEqn2:
@@ -227,14 +274,21 @@ func list(g *wcg.Graph, limits Limits, mode constraintMode) (Result, error) {
 	// ready but rejected by the accountant — simply stay on the ready
 	// list for the next step, which is exactly the retry behavior of the
 	// original full rescan.
-	predLeft := make([]int, n)
+	s.predLeft = append(s.predLeft[:0], make([]int, n)...)
+	predLeft := s.predLeft
 	for i := 0; i < n; i++ {
 		predLeft[i] = len(d.Pred(dfg.OpID(i)))
 	}
-	finish := make([]int, n) // valid once scheduled
-	var pending pendHeap     // ops whose preds are placed but still running
-	var running intHeap      // finish times of placed operations
-	ready := make([]dfg.OpID, 0, n)
+	s.finish = append(s.finish[:0], make([]int, n)...)
+	finish := s.finish       // valid once scheduled
+	pending := s.pending[:0] // ops whose preds are placed but still running
+	running := s.running[:0] // finish times of placed operations
+	ready := s.ready[:0]
+	incoming, merged := s.incoming[:0], s.merged[:0]
+	defer func() {
+		s.pending, s.running = pending, running
+		s.ready, s.incoming, s.merged = ready, incoming, merged
+	}()
 	for i := 0; i < n; i++ {
 		if predLeft[i] == 0 {
 			ready = append(ready, dfg.OpID(i))
@@ -251,7 +305,6 @@ func list(g *wcg.Graph, limits Limits, mode constraintMode) (Result, error) {
 		return int(a) - int(b)
 	}
 	slices.SortFunc(ready, cmpOp)
-	var incoming, merged []dfg.OpID
 	nDone := 0
 	t := 0
 	horizonGuard := 0
@@ -473,8 +526,7 @@ func maxLat(g *wcg.Graph) int {
 // priorities returns the standard list-scheduling priority: the longest
 // path (in cycles, inclusive of own latency) from each operation to any
 // sink. Most critical first.
-func priorities(d *dfg.Graph, order []dfg.OpID, L dfg.Latencies) []int {
-	prio := make([]int, d.N())
+func priorities(d *dfg.Graph, order []dfg.OpID, lat []int, prio []int) {
 	for i := len(order) - 1; i >= 0; i-- {
 		id := order[i]
 		best := 0
@@ -483,9 +535,8 @@ func priorities(d *dfg.Graph, order []dfg.OpID, L dfg.Latencies) []int {
 				best = prio[s]
 			}
 		}
-		prio[id] = best + L(id)
+		prio[id] = best + lat[id]
 	}
-	return prio
 }
 
 // accountant tracks resource usage and answers feasibility queries for
@@ -531,33 +582,48 @@ type eqn3Acct struct {
 	// sig is nil when |S| exceeds the 64-bit mask.
 	sig      []int
 	sigEpoch []int
-	sigOkL   []int
-	sigBadL  []int
-	epoch    int
-	lastT    int
+	// masks and sigs keep the backing arrays of mask and sig across
+	// resets while mask and sig themselves are nil when unused.
+	masks   []uint64
+	sigs    []int
+	sigOkL  []int
+	sigBadL []int
+	epoch   int
+	lastT   int
 }
 
-func newEqn3Accountant(g *wcg.Graph, set []int, limits Limits) *eqn3Acct {
+// eqn3Accountant resets s.acct for the given scheduling set and limits,
+// reusing every array and load row from the previous call.
+func (s *Scratch) eqn3Accountant(g *wcg.Graph, set []int, limits Limits) *eqn3Acct {
 	n := g.D.N()
-	a := &eqn3Acct{
-		share:       make([]int64, n),
-		limitScaled: make([]int64, n),
-		classOf:     make([]int, n),
-		load:        make([][]int64, len(set)),
-		peak:        make([]int64, len(set)),
-		slotClass:   make([]int, len(set)),
-		epoch:       1,
+	a := &s.acct
+	a.share = append(a.share[:0], make([]int64, n)...)
+	a.limitScaled = append(a.limitScaled[:0], make([]int64, n)...)
+	a.classOf = append(a.classOf[:0], make([]int, n)...)
+	// Load rows keep their capacity across calls; addLoad regrows them
+	// with zeros, so truncating is a reset.
+	if cap(a.load) < len(set) {
+		a.load = append(a.load[:cap(a.load)], make([][]int64, len(set)-cap(a.load))...)
 	}
+	a.load = a.load[:len(set)]
+	for si := range a.load {
+		a.load[si] = a.load[si][:0]
+	}
+	a.peak = append(a.peak[:0], make([]int64, len(set))...)
+	a.slotClass = append(a.slotClass[:0], make([]int, len(set))...)
+	a.epoch, a.lastT = 1, 0
+	a.mask, a.sOf, a.sig = nil, nil, nil
 	// Per slot: the dense class index and limit of its class. Any member
 	// of S(o) names o's class, so per-op lookups reduce to slot lookups.
-	classID := make(map[model.OpType]int)
-	slotLimit := make([]int64, len(set))
+	var classes []model.OpType
+	slotLimit := append(s.slotLimit[:0], make([]int64, len(set))...)
+	s.slotLimit = slotLimit
 	for si, ki := range set {
 		y := g.Kinds[ki].Class
-		id, ok := classID[y]
-		if !ok {
-			id = len(classID)
-			classID[y] = id
+		id := slices.Index(classes, y)
+		if id < 0 {
+			id = len(classes)
+			classes = append(classes, y)
 		}
 		a.slotClass[si] = id
 		if limit, ok := limits[y]; ok {
@@ -566,18 +632,25 @@ func newEqn3Accountant(g *wcg.Graph, set []int, limits Limits) *eqn3Acct {
 			slotLimit[si] = -1
 		}
 	}
-	a.classSum = make([]int64, len(classID))
-	sizes := make([]int, n)
+	a.classSum = append(a.classSum[:0], make([]int64, len(classes))...)
+	sizes := append(s.sizes[:0], make([]int, n)...)
+	s.sizes = sizes
 	a.scale = 1
 	if len(set) <= 64 {
-		a.mask = make([]uint64, n)
+		a.masks = append(a.masks[:0], make([]uint64, n)...)
+		a.mask = a.masks
 		for si, ki := range set {
 			bit := uint64(1) << uint(si)
 			mask := a.mask
 			g.CompatOpBits(ki).ForEach(func(o int) { mask[o] |= bit })
 		}
-		sigOf := make(map[uint64]int)
-		a.sig = make([]int, n)
+		if s.sigOf == nil {
+			s.sigOf = make(map[uint64]int)
+		}
+		sigOf := s.sigOf
+		clear(sigOf)
+		a.sigs = append(a.sigs[:0], make([]int, n)...)
+		a.sig = a.sigs
 		for o := 0; o < n; o++ {
 			m := a.mask[o]
 			if m == 0 {
@@ -595,9 +668,9 @@ func newEqn3Accountant(g *wcg.Graph, set []int, limits Limits) *eqn3Acct {
 			}
 			a.sig[o] = id
 		}
-		a.sigEpoch = make([]int, len(sigOf))
-		a.sigOkL = make([]int, len(sigOf))
-		a.sigBadL = make([]int, len(sigOf))
+		a.sigEpoch = append(a.sigEpoch[:0], make([]int, len(sigOf))...)
+		a.sigOkL = append(a.sigOkL[:0], make([]int, len(sigOf))...)
+		a.sigBadL = append(a.sigBadL[:0], make([]int, len(sigOf))...)
 	} else {
 		a.sOf = make([][]int, n)
 		for si, ki := range set {

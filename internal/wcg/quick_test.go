@@ -2,6 +2,7 @@ package wcg
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -111,6 +112,77 @@ func TestMaxChainQuick(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFullyRefineIsTheFixpointQuick: any random sequence of
+// DeleteMaxLatencyEdges calls, continued until no operation is
+// Reducible, ends in the graph FullyRefine produces — the same H edges
+// per operation and per kind and the same latency bounds. The
+// speculative resource-bound search in core predicts each failing
+// configuration from that unique fixpoint.
+func TestFullyRefineIsTheFixpointQuick(t *testing.T) {
+	lib := model.Default()
+	f := func(seed int64, n uint8) bool {
+		g, err := tgff.Generate(tgff.Config{N: 4 + int(n%40), Seed: seed})
+		if err != nil {
+			return false
+		}
+		base, err := Build(g, lib)
+		if err != nil {
+			return false
+		}
+		want := base.Clone()
+		deleted := want.FullyRefine()
+		if base.NumHEdges()-deleted != want.NumHEdges() {
+			t.Logf("FullyRefine reported %d deletions, edge count fell by %d", deleted, base.NumHEdges()-want.NumHEdges())
+			return false
+		}
+		got := base.Clone()
+		rnd := rand.New(rand.NewSource(seed ^ 0xf1c5))
+		for {
+			var open []dfg.OpID
+			for o := 0; o < g.N(); o++ {
+				if got.Reducible(dfg.OpID(o)) {
+					open = append(open, dfg.OpID(o))
+				}
+			}
+			if len(open) == 0 {
+				break
+			}
+			// Random victims, reducible or not: irreducible ones are
+			// no-ops and must stay so.
+			got.DeleteMaxLatencyEdges(dfg.OpID(rnd.Intn(g.N())))
+			got.DeleteMaxLatencyEdges(open[rnd.Intn(len(open))])
+		}
+		if got.NumHEdges() != want.NumHEdges() {
+			t.Logf("seed %d: %d H edges, FullyRefine left %d", seed, got.NumHEdges(), want.NumHEdges())
+			return false
+		}
+		for o := 0; o < g.N(); o++ {
+			id := dfg.OpID(o)
+			if !slices.Equal(got.CompatKinds(id), want.CompatKinds(id)) ||
+				got.UpperLatency(id) != want.UpperLatency(id) ||
+				got.MinLatency(id) != want.MinLatency(id) {
+				t.Logf("seed %d: op %d differs from the fixpoint", seed, o)
+				return false
+			}
+			if want.UpperLatency(id) != want.MinLatency(id) {
+				t.Logf("seed %d: op %d still reducible after FullyRefine", seed, o)
+				return false
+			}
+		}
+		for k := range want.Kinds {
+			if got.CompatOpCount(k) != want.CompatOpCount(k) ||
+				!slices.Equal(got.CompatOps(k), want.CompatOps(k)) {
+				t.Logf("seed %d: kind %d covers different operations", seed, k)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }
