@@ -16,8 +16,10 @@ import (
 	mwl "repro"
 	"repro/internal/bind"
 	"repro/internal/core"
+	"repro/internal/dfg"
 	"repro/internal/expt"
 	"repro/internal/ilp"
+	"repro/internal/model"
 	"repro/internal/pipeline"
 	"repro/internal/refine"
 	"repro/internal/sched"
@@ -467,6 +469,129 @@ func BenchmarkAllocateScaling(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkLargeSearch times the automatic resource-bound search in the
+// shape of mwlbench's large workload: layered TGFF graphs of 400
+// operations at λ = 2·λ_min, where most schedule/bind/refine rounds are
+// Eqn. 3 deadlocks.
+func BenchmarkLargeSearch(b *testing.B) {
+	lib := mwl.DefaultLibrary()
+	graphs, err := tgff.Batch(400, 3, benchSeed, tgff.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("N=400", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			g := graphs[i%len(graphs)]
+			lmin, err := g.MinMakespan(lib)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, _, err := core.Allocate(g, lib, 2*lmin, core.Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkLayer times single solver layers on frozen mid-solve
+// fixtures. sched/{list,try} schedule a 400-operation graph halfway
+// down the deadlock rounds of the first resource-bound configuration
+// (every class at its utilisation lower bound, λ = 2·λ_min): List runs
+// to the deadlock, Try stops at the first placement that proves it.
+func BenchmarkLayer(b *testing.B) {
+	g, limits := deadlockFixture(b, 400)
+	for _, layer := range []struct {
+		name string
+		run  func(*sched.Scratch, *wcg.Graph, sched.Limits) (sched.Result, error)
+	}{{"list", (*sched.Scratch).List}, {"try", (*sched.Scratch).Try}} {
+		b.Run("sched/"+layer.name+"/N=400", func(b *testing.B) {
+			// A ladder's scratch is warm after its first round.
+			var s sched.Scratch
+			layer.run(&s, g, limits)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := layer.run(&s, g, limits); err == nil {
+					b.Fatal("fixture schedules")
+				}
+			}
+		})
+	}
+}
+
+// deadlockFixture replays core's schedule/bind/refine ladder on an
+// n-operation graph at λ = 2·λ_min and its first configuration (every
+// class at its utilisation lower bound), and returns the graph of the
+// middle one of the ladder's Eqn. 3 deadlock rounds, with the limits.
+func deadlockFixture(b *testing.B, n int) (*wcg.Graph, sched.Limits) {
+	b.Helper()
+	lib := mwl.DefaultLibrary()
+	d, err := tgff.Generate(tgff.Config{N: n, Seed: benchSeed})
+	if err != nil {
+		b.Fatal(err)
+	}
+	lmin, err := d.MinMakespan(lib)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lambda := 2 * lmin
+	busy := make(map[mwl.OpType]int)
+	for _, o := range d.Ops() {
+		busy[o.Spec.Type.HardwareClass()] += model.MinLatency(o.Spec, lib)
+	}
+	limits := make(sched.Limits)
+	for y, v := range busy {
+		limits[y] = max(1, (v+lambda-1)/lambda)
+	}
+	g, err := wcg.Build(d, lib)
+	if err != nil {
+		b.Fatal(err)
+	}
+	all := make([]dfg.OpID, n)
+	for i := range all {
+		all[i] = dfg.OpID(i)
+	}
+	// core's refinement batches for n ≥ BatchMinOps.
+	batchA, batchB := min(16, n/128), n/64
+	var deadlocks []*wcg.Graph
+	for iter := 0; ; iter++ {
+		r, err := sched.List(g, limits)
+		if err != nil {
+			deadlocks = append(deadlocks, g.Clone())
+			j := 0
+			for ; j < min(64, batchA+iter/8); j++ {
+				o, ok := refine.ChooseVictim(g, nil, all)
+				if !ok {
+					break
+				}
+				g.DeleteMaxLatencyEdges(o)
+			}
+			if j == 0 {
+				break
+			}
+			continue
+		}
+		bd, err := bind.Select(g, r.Start)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m := 0
+		for o, t := range r.Start {
+			m = max(m, t+bd.BoundLatency(g, dfg.OpID(o)))
+		}
+		if m <= lambda {
+			break
+		}
+		k := min(batchB, max(1, (m-lambda)/4))
+		if refine.StepBatch(g, r.Start, bd, lambda, refine.ChooseVictim, k) == 0 {
+			break
+		}
+	}
+	if len(deadlocks) == 0 {
+		b.Fatal("the ladder has no deadlock round")
+	}
+	return deadlocks[len(deadlocks)/2], limits
 }
 
 // BenchmarkAnneal times the simulated-annealing backend across problem

@@ -446,7 +446,10 @@ func runLadder(ctx context.Context, g *wcg.Graph, lambda int, opt Options, limit
 			return nil, err
 		}
 		stats.Iterations++
-		r, schedErr := ss.List(g, limits)
+		// Try stops a deadlocking schedule at the first placement that
+		// proves it; the deadlock's detail is needed only when the
+		// ladder fails, and then List supplies it below.
+		r, schedErr := ss.Try(g, limits)
 		if schedErr != nil {
 			if !errors.Is(schedErr, sched.ErrResourceInfeasible) {
 				return nil, schedErr
@@ -471,6 +474,11 @@ func runLadder(ctx context.Context, g *wcg.Graph, lambda int, opt Options, limit
 				o, ok := pick(g, nil, all)
 				if !ok {
 					if j == 0 {
+						// blame reads the InfeasibleError of the full
+						// schedule.
+						if _, schedErr = ss.List(g, limits); schedErr == nil {
+							return nil, errors.New("core: internal error, Try and List disagree")
+						}
 						return nil, fmt.Errorf("%w: %w", ErrInfeasible, schedErr)
 					}
 					break

@@ -174,7 +174,9 @@ func appendCandidates(dst []dfg.OpID, g *wcg.Graph, start []int, qb []dfg.OpID, 
 // ChooseVictim selects the operation to refine from the candidate set
 // using the paper's metric, considering only reducible operations
 // (those whose L_o would strictly decrease while keeping at least one
-// kind). Returns false if no candidate is reducible.
+// kind). Returns false if no candidate is reducible. Both terms of the
+// proportion are maintained by the compatibility graph, so a call costs
+// O(|cands|).
 func ChooseVictim(g *wcg.Graph, b *bind.Binding, cands []dfg.OpID) (dfg.OpID, bool) {
 	best := dfg.OpID(-1)
 	var bestDel, bestDen int
@@ -183,15 +185,9 @@ func ChooseVictim(g *wcg.Graph, b *bind.Binding, cands []dfg.OpID) (dfg.OpID, bo
 		if !g.Reducible(o) {
 			continue
 		}
-		lmax := g.UpperLatency(o)
-		del, den := 0, 0
-		for _, ki := range g.CompatKinds(o) {
-			den += g.CompatOpCount(ki)
-			if g.KindLatency(ki) == lmax {
-				del++
-			}
-		}
-		favoured := b != nil && b.BoundLatency(g, o) < lmax
+		// del edges of o would go, out of the den incident on its kinds.
+		del, den := g.MaxLatencyKindCount(o), g.KindEdgeCount(o)
+		favoured := b != nil && b.BoundLatency(g, o) < g.UpperLatency(o)
 		if best < 0 || lessProportion(del, den, favoured, bestDel, bestDen, bestFavoured) {
 			best, bestDel, bestDen, bestFavoured = o, del, den, favoured
 		}

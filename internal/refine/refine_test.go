@@ -8,6 +8,7 @@ import (
 	"repro/internal/dfg"
 	"repro/internal/model"
 	"repro/internal/sched"
+	"repro/internal/tgff"
 	"repro/internal/wcg"
 )
 
@@ -244,4 +245,95 @@ func randomDAG(rnd *rand.Rand, n int) *dfg.Graph {
 		}
 	}
 	return g
+}
+
+// chooseVictimReference is ChooseVictim as it was before the
+// compatibility graph maintained the metric's terms: both re-summed
+// over o's H edges on every call.
+func chooseVictimReference(g *wcg.Graph, b *bind.Binding, cands []dfg.OpID) (dfg.OpID, bool) {
+	best := dfg.OpID(-1)
+	var bestDel, bestDen int
+	var bestFavoured bool
+	for _, o := range cands {
+		if !g.Reducible(o) {
+			continue
+		}
+		lmax := g.UpperLatency(o)
+		del, den := 0, 0
+		for _, ki := range g.CompatKinds(o) {
+			den += g.CompatOpCount(ki)
+			if g.KindLatency(ki) == lmax {
+				del++
+			}
+		}
+		favoured := b != nil && b.BoundLatency(g, o) < lmax
+		if best < 0 || lessProportion(del, den, favoured, bestDel, bestDen, bestFavoured) {
+			best, bestDel, bestDen, bestFavoured = o, del, den, favoured
+		}
+	}
+	if best < 0 {
+		return 0, false
+	}
+	return best, true
+}
+
+// TestChooseVictimMatchesReference: along refinement sequences that
+// delete whatever ChooseVictim picks, on random candidate subsets with
+// and without a binding, ChooseVictim picks the reference's victim.
+func TestChooseVictimMatchesReference(t *testing.T) {
+	lib := model.Default()
+	picks := 0
+	for _, n := range []int{8, 40, 200} {
+		for seed := int64(1); seed <= 4; seed++ {
+			d, err := tgff.Generate(tgff.Config{N: n, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := wcg.Build(d, lib)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := sched.List(g, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := bind.Select(g, r.Start)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rnd := rand.New(rand.NewSource(seed))
+			for {
+				var cands []dfg.OpID
+				for o := 0; o < n; o++ {
+					if rnd.Intn(3) > 0 {
+						cands = append(cands, dfg.OpID(o))
+					}
+				}
+				bb := b
+				if rnd.Intn(2) == 0 {
+					bb = nil
+				}
+				got, gotOK := ChooseVictim(g, bb, cands)
+				want, wantOK := chooseVictimReference(g, bb, cands)
+				if got != want || gotOK != wantOK {
+					t.Fatalf("N=%d seed=%d: ChooseVictim = %d, %t; reference %d, %t", n, seed, got, gotOK, want, wantOK)
+				}
+				if !gotOK {
+					// Let the sequence go on while anything is reducible.
+					all := make([]dfg.OpID, n)
+					for i := range all {
+						all[i] = dfg.OpID(i)
+					}
+					if got, gotOK = ChooseVictim(g, nil, all); !gotOK {
+						break
+					}
+				}
+				picks++
+				g.DeleteMaxLatencyEdges(got)
+			}
+		}
+	}
+	if picks == 0 {
+		t.Fatal("no victim was ever chosen")
+	}
 }

@@ -14,6 +14,21 @@
 // the scheduling set accounts for cross-step kind conflicts that the
 // classical constraint (Eqn. 2, per-step counting) misses. Shares are
 // kept in exact integer arithmetic scaled by the lcm of the |S(o)|.
+//
+// A schedule that Eqn. 3 rejects sends Algorithm DPAlloc to refine and
+// reschedule, and on large graphs most rounds are such deadlocks.
+// Scratch.Try answers them early. Operations with the same S(o) form a
+// signature with one share w, class y and limit N_y. Placing one adds at
+// least max(0, w − peak_s) to each peak of S(o), and peaks never fall. So
+// once
+//
+//	Σ_{s∈S_y} peak_s  +  Σ_{s∈S(o)} max(0, w − peak_s)  >  N_y
+//
+// (in scaled units) holds for a signature with an unplaced member, that
+// member fits at no step and the schedule is bound to fail. Try checks
+// the certificate after every placement that raised a class's sum, on
+// that class's signatures, and fails there. Schedules that succeed are
+// identical to List's. Without signatures (|S| > 64) Try is List.
 package sched
 
 import (
@@ -220,7 +235,17 @@ type Scratch struct {
 // List is the package-level List running in s. The Result does not
 // alias s.
 func (s *Scratch) List(g *wcg.Graph, limits Limits) (Result, error) {
-	return list(g, limits, modeEqn3, s)
+	return list(g, limits, modeEqn3, s, false)
+}
+
+// Try is List that gives up as soon as Eqn. 3 proves some unplaced
+// operation can never be placed (see doomed), returning a plain
+// ErrResourceInfeasible with no InfeasibleError detail. When List
+// succeeds Try returns the identical Result; when List fails so does
+// Try, usually after a short prefix of the placements. A caller that
+// needs the deadlocked operation and its deficit re-runs List.
+func (s *Scratch) Try(g *wcg.Graph, limits Limits) (Result, error) {
+	return list(g, limits, modeEqn3, s, true)
 }
 
 // ListEqn2 schedules with the classical Eqn. 2 constraint (resource usage
@@ -228,10 +253,11 @@ func (s *Scratch) List(g *wcg.Graph, limits Limits) (Result, error) {
 // for the ablation benches; the paper shows this constraint is too weak
 // to guarantee bindability.
 func ListEqn2(g *wcg.Graph, limits Limits) (Result, error) {
-	return list(g, limits, modeEqn2, new(Scratch))
+	return list(g, limits, modeEqn2, new(Scratch), false)
 }
 
-func list(g *wcg.Graph, limits Limits, mode constraintMode, s *Scratch) (Result, error) {
+// list is the list scheduler; failFast selects Try's early exit.
+func list(g *wcg.Graph, limits Limits, mode constraintMode, s *Scratch, failFast bool) (Result, error) {
 	d := g.D
 	n := d.N()
 	lat := g.UpperLatSlice()
@@ -259,7 +285,7 @@ func list(g *wcg.Graph, limits Limits, mode constraintMode, s *Scratch) (Result,
 		switch mode {
 		case modeEqn3:
 			res.SchedSet = s.schedulingSet(g)
-			a3 = s.eqn3Accountant(g, res.SchedSet, limits)
+			a3 = s.eqn3Accountant(g, res.SchedSet, limits, failFast)
 			acct = a3
 			sig, sigEpoch, sigOkL, sigBadL = a3.sig, a3.sigEpoch, a3.sigOkL, a3.sigBadL
 		case modeEqn2:
@@ -359,7 +385,17 @@ func list(g *wcg.Graph, limits Limits, mode constraintMode, s *Scratch) (Result,
 				kept = append(kept, o)
 				continue
 			}
-			if acct != nil {
+			if a3 != nil {
+				y := a3.classOf[o]
+				before := a3.classSum[y]
+				a3.commit(o, t, l)
+				if a3.sigLeft != nil {
+					a3.sigLeft[sig[o]]--
+					if a3.classSum[y] > before && a3.doomed(y) {
+						return Result{}, ErrResourceInfeasible
+					}
+				}
+			} else if acct != nil {
 				acct.commit(o, t, l)
 			}
 			res.Start[o] = t
@@ -590,11 +626,22 @@ type eqn3Acct struct {
 	sigBadL []int
 	epoch   int
 	lastT   int
+	// Doom certificate, kept only for Try (sigLeft is nil otherwise):
+	// per signature its count of unplaced operations, S(o) mask, share
+	// and class; classLim[y] is class y's scaled limit, -1 when
+	// unconstrained.
+	sigLeft  []int
+	sigLefts []int
+	sigMask  []uint64
+	sigShare []int64
+	sigClass []int
+	classLim []int64
 }
 
 // eqn3Accountant resets s.acct for the given scheduling set and limits,
-// reusing every array and load row from the previous call.
-func (s *Scratch) eqn3Accountant(g *wcg.Graph, set []int, limits Limits) *eqn3Acct {
+// reusing every array and load row from the previous call. doom also
+// prepares the doom certificate when the set fits the 64-bit masks.
+func (s *Scratch) eqn3Accountant(g *wcg.Graph, set []int, limits Limits, doom bool) *eqn3Acct {
 	n := g.D.N()
 	a := &s.acct
 	a.share = append(a.share[:0], make([]int64, n)...)
@@ -612,7 +659,7 @@ func (s *Scratch) eqn3Accountant(g *wcg.Graph, set []int, limits Limits) *eqn3Ac
 	a.peak = append(a.peak[:0], make([]int64, len(set))...)
 	a.slotClass = append(a.slotClass[:0], make([]int, len(set))...)
 	a.epoch, a.lastT = 1, 0
-	a.mask, a.sOf, a.sig = nil, nil, nil
+	a.mask, a.sOf, a.sig, a.sigLeft = nil, nil, nil, nil
 	// Per slot: the dense class index and limit of its class. Any member
 	// of S(o) names o's class, so per-op lookups reduce to slot lookups.
 	var classes []model.OpType
@@ -694,7 +741,69 @@ func (s *Scratch) eqn3Accountant(g *wcg.Graph, set []int, limits Limits) *eqn3Ac
 			a.limitScaled[o] *= a.scale
 		}
 	}
+	if doom && a.sig != nil {
+		a.prepareDoom(len(a.sigEpoch), len(classes), slotLimit)
+	}
 	return a
+}
+
+// prepareDoom sets up the doom certificate over nsig signatures and
+// nclass classes from the finished per-operation arrays.
+func (a *eqn3Acct) prepareDoom(nsig, nclass int, slotLimit []int64) {
+	a.sigLefts = append(a.sigLefts[:0], make([]int, nsig)...)
+	a.sigLeft = a.sigLefts
+	a.sigMask = append(a.sigMask[:0], make([]uint64, nsig)...)
+	a.sigShare = append(a.sigShare[:0], make([]int64, nsig)...)
+	a.sigClass = append(a.sigClass[:0], make([]int, nsig)...)
+	for o, sg := range a.sig {
+		a.sigLeft[sg]++
+		a.sigMask[sg] = a.mask[o]
+		a.sigShare[sg] = a.share[o]
+		a.sigClass[sg] = a.classOf[o]
+	}
+	a.classLim = append(a.classLim[:0], make([]int64, nclass)...)
+	for si, y := range a.slotClass {
+		a.classLim[y] = slotLimit[si]
+		if slotLimit[si] >= 0 {
+			a.classLim[y] *= a.scale
+		}
+	}
+}
+
+// doomed reports whether some signature of class y with an unplaced
+// member can never be placed again. Placing o on [t, t+l) needs
+//
+//	classSum_y + Σ_{s∈S(o)} peakDelta_s ≤ N_y·scale,
+//
+// and peakDelta_s ≥ max(0, share − peak_s) because loads are
+// non-negative, so a signature with
+//
+//	classSum_y + Σ_{s∈S(o)} max(0, share − peak_s) > N_y·scale
+//
+// fits at no step and no latency. Raising a peak by δ raises classSum_y
+// by δ and lowers the bound's other term by at most δ, so the left side
+// never falls and a doomed signature stays doomed. Only a commit that
+// raised classSum_y can doom a signature of class y.
+func (a *eqn3Acct) doomed(y int) bool {
+	lim := a.classLim[y]
+	if lim < 0 {
+		return false
+	}
+	for sg, left := range a.sigLeft {
+		if left == 0 || a.sigClass[sg] != y {
+			continue
+		}
+		sum, w := a.classSum[y], a.sigShare[sg]
+		for m := a.sigMask[sg]; m != 0; m &= m - 1 {
+			if p := a.peak[bits.TrailingZeros64(m)]; p < w {
+				sum += w - p
+			}
+		}
+		if sum > lim {
+			return true
+		}
+	}
+	return false
 }
 
 // peakDelta returns the increase of slot si's peak if the op occupied

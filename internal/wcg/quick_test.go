@@ -186,3 +186,66 @@ func TestFullyRefineIsTheFixpointQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestVictimTermsMaintainedQuick: after random deletions, on graphs and
+// on clones taken along the way and refined on independently, the
+// maintained victim-metric terms equal their definitions recomputed
+// from the H edges: KindEdgeCount(o) = Σ_{r∈H(o)} |O(r)| and
+// MaxLatencyKindCount(o) = |{r ∈ H(o) : ℓ(r) = L_o}|.
+func TestVictimTermsMaintainedQuick(t *testing.T) {
+	lib := model.Default()
+	check := func(g *Graph) bool {
+		for o := 0; o < g.D.N(); o++ {
+			id := dfg.OpID(o)
+			den, del := 0, 0
+			for _, ki := range g.CompatKinds(id) {
+				den += g.CompatOpCount(ki)
+				if g.KindLatency(ki) == g.UpperLatency(id) {
+					del++
+				}
+			}
+			if g.KindEdgeCount(id) != den || g.MaxLatencyKindCount(id) != del {
+				t.Logf("op %d: maintained (%d, %d), recomputed (%d, %d)",
+					o, g.MaxLatencyKindCount(id), g.KindEdgeCount(id), del, den)
+				return false
+			}
+		}
+		return true
+	}
+	f := func(seed int64, n uint8) bool {
+		d, err := tgff.Generate(tgff.Config{N: 4 + int(n%60), Seed: seed})
+		if err != nil {
+			return false
+		}
+		g, err := Build(d, lib)
+		if err != nil {
+			return false
+		}
+		rnd := rand.New(rand.NewSource(seed ^ 0xde1e7e))
+		graphs := []*Graph{g}
+		for step := 0; step < 3*d.N(); step++ {
+			if !check(graphs[rnd.Intn(len(graphs))]) {
+				return false
+			}
+			switch w := graphs[rnd.Intn(len(graphs))]; rnd.Intn(8) {
+			case 0:
+				graphs = append(graphs, w.Clone())
+			case 1:
+				c := w.Clone()
+				c.FullyRefine()
+				graphs = append(graphs, c)
+			default:
+				w.DeleteMaxLatencyEdges(dfg.OpID(rnd.Intn(d.N())))
+			}
+		}
+		for _, w := range graphs {
+			if !check(w) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}

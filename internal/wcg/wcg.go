@@ -54,9 +54,15 @@ type Graph struct {
 	opCount  []int
 	// lat[k] caches Lib.Latency(Kinds[k]).
 	lat []int
-	// upper[o] and min[o] cache L_o and min ℓ over o's current kinds.
+	// upper[o] and min[o] cache L_o and min ℓ over o's current kinds;
+	// nmax[o] counts o's kinds at latency L_o.
 	upper []int
 	min   []int
+	nmax  []int
+	// den[o] = Σ_{r∈H(o)} |O(r)|, the H edges incident on o's kinds:
+	// the denominator of refine's victim metric, repaired on every
+	// deletion so the metric reads in O(1).
+	den []int
 	// edges counts the H edges remaining.
 	edges int
 	// topo memoizes D.TopoOrder(): D is immutable for the lifetime of
@@ -113,6 +119,8 @@ func BuildWithKinds(d *dfg.Graph, lib *model.Library, kinds []model.Kind) (*Grap
 	}
 	g.upper = make([]int, n)
 	g.min = make([]int, n)
+	g.nmax = make([]int, n)
+	g.den = make([]int, n)
 	for _, o := range d.Ops() {
 		g.hBits[o.ID] = bitset.New(len(kinds))
 		for ki, k := range kinds {
@@ -129,21 +137,25 @@ func BuildWithKinds(d *dfg.Graph, lib *model.Library, kinds []model.Kind) (*Grap
 		}
 		g.recomputeBounds(o.ID)
 	}
+	g.recomputeDen()
 	return g, nil
 }
 
-// recomputeBounds repairs the cached latency bounds of o from its current
-// kind list.
+// recomputeBounds repairs the cached latency bounds of o, and the count
+// of its kinds at the upper bound, from its current kind list.
 func (g *Graph) recomputeBounds(o dfg.OpID) {
-	lo, hi := g.lat[g.h[o][0]], g.lat[g.h[o][0]]
+	lo, hi, nhi := g.lat[g.h[o][0]], g.lat[g.h[o][0]], 1
 	for _, ki := range g.h[o][1:] {
-		if l := g.lat[ki]; l < lo {
+		switch l := g.lat[ki]; {
+		case l > hi:
+			hi, nhi = l, 1
+		case l == hi:
+			nhi++
+		case l < lo:
 			lo = l
-		} else if l > hi {
-			hi = l
 		}
 	}
-	g.min[o], g.upper[o] = lo, hi
+	g.min[o], g.upper[o], g.nmax[o] = lo, hi, nhi
 }
 
 // KindLatency returns the cached latency ℓ(r) of kind index k.
@@ -186,6 +198,14 @@ func (g *Graph) UpperLatency(o dfg.OpID) int { return g.upper[o] }
 // compatible with o.
 func (g *Graph) MinLatency(o dfg.OpID) int { return g.min[o] }
 
+// MaxLatencyKindCount returns the number of kinds compatible with o at
+// latency L_o: the H edges DeleteMaxLatencyEdges(o) would delete.
+func (g *Graph) MaxLatencyKindCount(o dfg.OpID) int { return g.nmax[o] }
+
+// KindEdgeCount returns Σ_{r∈H(o)} |O(r)|: the number of H edges incident
+// on the kinds compatible with o, maintained across edge deletions.
+func (g *Graph) KindEdgeCount(o dfg.OpID) int { return g.den[o] }
+
 // UpperLatSlice returns L_o for every operation as a slice indexed by
 // operation ID, for indexed access in scheduler hot loops. The slice is
 // the graph's internal state: callers must not modify it and must not
@@ -208,6 +228,12 @@ func (g *Graph) Reducible(o dfg.OpID) bool { return g.min[o] < g.upper[o] }
 // It refuses to act, returning 0, when o is not Reducible, so an
 // operation always keeps at least one compatible kind.
 func (g *Graph) DeleteMaxLatencyEdges(o dfg.OpID) int {
+	return g.deleteMaxLatencyEdges(o, true)
+}
+
+// deleteMaxLatencyEdges is DeleteMaxLatencyEdges; with keepDen false it
+// leaves den stale for the caller to recompute.
+func (g *Graph) deleteMaxLatencyEdges(o dfg.OpID, keepDen bool) int {
 	if !g.Reducible(o) {
 		return 0
 	}
@@ -219,6 +245,12 @@ func (g *Graph) DeleteMaxLatencyEdges(o dfg.OpID) int {
 			deleted++
 			g.hBits[o].Remove(ki)
 			g.opBits[ki].Remove(int(o))
+			if keepDen {
+				// o loses the kind's whole count; every op still on
+				// the kind sees it cover one op fewer.
+				g.den[o] -= g.opCount[ki]
+				g.opBits[ki].ForEach(func(p int) { g.den[p]-- })
+			}
 			g.opCount[ki]--
 			g.opsDirty[ki] = true
 		} else {
@@ -233,6 +265,16 @@ func (g *Graph) DeleteMaxLatencyEdges(o dfg.OpID) int {
 	return deleted
 }
 
+// recomputeDen sets den from the current H edges.
+func (g *Graph) recomputeDen() {
+	for o, ks := range g.h {
+		g.den[o] = 0
+		for _, ki := range ks {
+			g.den[o] += g.opCount[ki]
+		}
+	}
+}
+
 // FullyRefine drives the graph to the refinement fixpoint: every
 // operation keeps exactly its minimum-latency kinds. Deletions are
 // per-operation independent, so the fixpoint is unique — it is the state
@@ -242,9 +284,10 @@ func (g *Graph) FullyRefine() int {
 	deleted := 0
 	for o := 0; o < g.D.N(); o++ {
 		for g.Reducible(dfg.OpID(o)) {
-			deleted += g.DeleteMaxLatencyEdges(dfg.OpID(o))
+			deleted += g.deleteMaxLatencyEdges(dfg.OpID(o), false)
 		}
 	}
+	g.recomputeDen()
 	return deleted
 }
 
@@ -258,6 +301,8 @@ func (g *Graph) Clone() *Graph {
 		D: g.D, Lib: g.Lib, Kinds: g.Kinds, lat: g.lat,
 		upper: append([]int(nil), g.upper...),
 		min:   append([]int(nil), g.min...),
+		nmax:  append([]int(nil), g.nmax...),
+		den:   append([]int(nil), g.den...),
 		edges: g.edges,
 		topo:  g.topo,
 	}
