@@ -500,8 +500,16 @@ func BenchmarkLargeSearch(b *testing.B) {
 // down the deadlock rounds of the first resource-bound configuration
 // (every class at its utilisation lower bound, λ = 2·λ_min): List runs
 // to the deadlock, Try stops at the first placement that proves it.
+//
+// sched/set and refine/{choose,queue} time the work that round hands to
+// the next, on a clone made outside the timer. The layer's scratch is as
+// warm as in a ladder's consecutive deadlock rounds: outside the timer it
+// has already served the fixture round, which refined its victims. Then
+// sched/set computes the next round's scheduling set, and refine/choose
+// (ChooseVictim over all operations) and refine/queue (StepAll's lazy
+// queue) pick and delete the next round's victims.
 func BenchmarkLayer(b *testing.B) {
-	g, limits := deadlockFixture(b, 400)
+	g, limits, victims := deadlockFixture(b, 400)
 	for _, layer := range []struct {
 		name string
 		run  func(*sched.Scratch, *wcg.Graph, sched.Limits) (sched.Result, error)
@@ -518,13 +526,62 @@ func BenchmarkLayer(b *testing.B) {
 			}
 		})
 	}
+	b.Run("sched/set/N=400", func(b *testing.B) {
+		var s sched.Scratch
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			c := g.Clone()
+			s.SchedulingSet(c)
+			chooseVictims(c, victims)
+			b.StartTimer()
+			s.SchedulingSet(c)
+		}
+	})
+	for _, layer := range []struct {
+		name string
+		run  func(*refine.Scratch, *wcg.Graph, int) int
+	}{
+		{"choose", func(_ *refine.Scratch, g *wcg.Graph, k int) int { return chooseVictims(g, k) }},
+		{"queue", func(s *refine.Scratch, g *wcg.Graph, k int) int { return s.StepAll(g, nil, k) }},
+	} {
+		b.Run("refine/"+layer.name+"/N=400", func(b *testing.B) {
+			var s refine.Scratch
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				c := g.Clone()
+				layer.run(&s, c, victims)
+				b.StartTimer()
+				if layer.run(&s, c, victims) == 0 {
+					b.Fatal("nothing left to refine")
+				}
+			}
+		})
+	}
+}
+
+// chooseVictims refines up to k victims of ChooseVictim over all
+// operations, as one Eqn. 3 deadlock round does, and returns how many.
+func chooseVictims(g *wcg.Graph, k int) int {
+	all := make([]dfg.OpID, g.D.N())
+	for i := range all {
+		all[i] = dfg.OpID(i)
+	}
+	for j := 0; j < k; j++ {
+		o, ok := refine.ChooseVictim(g, nil, all)
+		if !ok {
+			return j
+		}
+		g.DeleteMaxLatencyEdges(o)
+	}
+	return k
 }
 
 // deadlockFixture replays core's schedule/bind/refine ladder on an
 // n-operation graph at λ = 2·λ_min and its first configuration (every
 // class at its utilisation lower bound), and returns the graph of the
-// middle one of the ladder's Eqn. 3 deadlock rounds, with the limits.
-func deadlockFixture(b *testing.B, n int) (*wcg.Graph, sched.Limits) {
+// middle one of the ladder's Eqn. 3 deadlock rounds, with the limits and
+// the number of victims that round refines.
+func deadlockFixture(b *testing.B, n int) (*wcg.Graph, sched.Limits, int) {
 	b.Helper()
 	lib := mwl.DefaultLibrary()
 	d, err := tgff.Generate(tgff.Config{N: n, Seed: benchSeed})
@@ -548,26 +605,19 @@ func deadlockFixture(b *testing.B, n int) (*wcg.Graph, sched.Limits) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	all := make([]dfg.OpID, n)
-	for i := range all {
-		all[i] = dfg.OpID(i)
-	}
 	// core's refinement batches for n ≥ BatchMinOps.
 	batchA, batchB := min(16, n/128), n/64
-	var deadlocks []*wcg.Graph
+	type round struct {
+		g       *wcg.Graph
+		victims int
+	}
+	var deadlocks []round
 	for iter := 0; ; iter++ {
 		r, err := sched.List(g, limits)
 		if err != nil {
-			deadlocks = append(deadlocks, g.Clone())
-			j := 0
-			for ; j < min(64, batchA+iter/8); j++ {
-				o, ok := refine.ChooseVictim(g, nil, all)
-				if !ok {
-					break
-				}
-				g.DeleteMaxLatencyEdges(o)
-			}
-			if j == 0 {
+			ka := min(64, batchA+iter/8)
+			deadlocks = append(deadlocks, round{g.Clone(), ka})
+			if chooseVictims(g, ka) == 0 {
 				break
 			}
 			continue
@@ -591,7 +641,8 @@ func deadlockFixture(b *testing.B, n int) (*wcg.Graph, sched.Limits) {
 	if len(deadlocks) == 0 {
 		b.Fatal("the ladder has no deadlock round")
 	}
-	return deadlocks[len(deadlocks)/2], limits
+	mid := deadlocks[len(deadlocks)/2]
+	return mid.g, limits, mid.victims
 }
 
 // BenchmarkAnneal times the simulated-annealing backend across problem

@@ -190,16 +190,21 @@ func (s *search) exhausted() error {
 }
 
 // sequential tries one configuration at a time, growing the blamed class
-// after each failure until one succeeds.
+// after each failure until one succeeds. Each ladder refines its own
+// clone of one compatibility graph.
 func (s *search) sequential(ctx context.Context) (*datapath.Datapath, Stats, error) {
 	var stats Stats
+	base, err := s.base()
+	if err != nil {
+		return nil, stats, err
+	}
 	limits := s.first
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, stats, err
 		}
 		stats.Configs++
-		dp, err := allocateFixed(ctx, s.d, s.lib, s.lambda, s.opt, limits, &stats)
+		dp, err := runLadder(ctx, base.Clone(), s.lambda, s.opt, limits, &stats)
 		if err == nil {
 			return dp, stats, nil
 		}
@@ -211,6 +216,19 @@ func (s *search) sequential(ctx context.Context) (*datapath.Datapath, Stats, err
 			return nil, stats, s.exhausted()
 		}
 	}
+}
+
+// base builds the compatibility graph every ladder of the search starts
+// from, with its topological order memoized so that clones share it.
+func (s *search) base() (*wcg.Graph, error) {
+	g, err := buildWCG(s.d, s.lib, s.opt)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := g.TopoOrder(); err != nil {
+		return nil, err
+	}
+	return g, nil
 }
 
 // speculative is sequential with up to workers configurations' ladders
@@ -237,12 +255,8 @@ func (s *search) sequential(ctx context.Context) (*datapath.Datapath, Stats, err
 // it to force mispredictions.
 func (s *search) speculative(ctx context.Context, workers int, skew func(sched.Limits)) (*datapath.Datapath, Stats, error) {
 	var stats Stats
-	base, err := buildWCG(s.d, s.lib, s.opt)
+	base, err := s.base()
 	if err != nil {
-		return nil, stats, err
-	}
-	// Memoize the topological order before the clones share it.
-	if _, err := base.TopoOrder(); err != nil {
 		return nil, stats, err
 	}
 	pred := predictor{s: s, g: base.Clone()}
@@ -436,7 +450,6 @@ func runLadder(ctx context.Context, g *wcg.Graph, lambda int, opt Options, limit
 		batchA = min(16, n/128)
 		batchB = n / 64
 	}
-	var all []dfg.OpID
 
 	// Each refinement deletes at least one H edge, so the loop is bounded
 	// by the initial edge count; the +2 covers the final feasible round.
@@ -456,12 +469,6 @@ func runLadder(ctx context.Context, g *wcg.Graph, lambda int, opt Options, limit
 			}
 			// No schedule exists under Eqn. 3 with the current
 			// wordlength information: refine without binding guidance.
-			if all == nil {
-				all = make([]dfg.OpID, n)
-				for i := range all {
-					all[i] = dfg.OpID(i)
-				}
-			}
 			// Deadlock rounds escalate with ladder depth: a
 			// configuration still deadlocked after many rounds is
 			// grinding towards full refinement, and precision there no
@@ -470,22 +477,17 @@ func runLadder(ctx context.Context, g *wcg.Graph, lambda int, opt Options, limit
 			if batchA > 1 {
 				ka = min(64, batchA+iter/8)
 			}
-			for j := 0; j < ka; j++ {
-				o, ok := pick(g, nil, all)
-				if !ok {
-					if j == 0 {
-						// blame reads the InfeasibleError of the full
-						// schedule.
-						if _, schedErr = ss.List(g, limits); schedErr == nil {
-							return nil, errors.New("core: internal error, Try and List disagree")
-						}
-						return nil, fmt.Errorf("%w: %w", ErrInfeasible, schedErr)
-					}
-					break
+			edges := g.NumHEdges()
+			refined := rs.StepAll(g, opt.Victim, ka)
+			if refined == 0 {
+				// blame reads the InfeasibleError of the full schedule.
+				if _, schedErr = ss.List(g, limits); schedErr == nil {
+					return nil, errors.New("core: internal error, Try and List disagree")
 				}
-				stats.Refinements++
-				stats.EdgesDeleted += g.DeleteMaxLatencyEdges(o)
+				return nil, fmt.Errorf("%w: %w", ErrInfeasible, schedErr)
 			}
+			stats.Refinements += refined
+			stats.EdgesDeleted += edges - g.NumHEdges()
 			continue
 		}
 		b, bst, err := bs.SelectStats(g, r.Start, bindOpt)

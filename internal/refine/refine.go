@@ -11,6 +11,21 @@
 // compatible with it; ties favour operations currently bound to a
 // resource faster than their upper bound. The victim's maximum-latency
 // H edges are then deleted, lowering L_o before rescheduling.
+//
+// An Eqn. 3 deadlock round has no schedule to guide the choice, so the
+// victim is ChooseVictim over every operation, and such rounds make up
+// most of a large ladder. Scratch.StepAll serves them from a lazy
+// min-queue of the reducible operations keyed by (del/den, ID), where
+// del = MaxLatencyKindCount and den = KindEdgeCount. Deleting a victim's
+// edges changes only the victim's own del; every other operation keeps
+// its del while its den can only fall. So the key cached for an
+// operation the queue did not refine is a lower bound of its true key.
+// A popped entry whose key recomputes unchanged is therefore no worse
+// than any other operation's true key, and it is ChooseVictim's pick. A
+// changed entry goes back in with its true key. The refined victim goes
+// back in with its new key while it stays reducible. Deletions the queue
+// did not make break the bound, so the queue reloads when it is handed
+// another graph or a NumHEdges count it did not leave behind.
 package refine
 
 import (
@@ -41,6 +56,7 @@ type Scratch struct {
 	ell, next, cnt, asap, alap []int
 	order, byStart             []dfg.OpID
 	crit, w, all               []dfg.OpID
+	queue                      victimQueue
 }
 
 // boundCriticalPath is BoundCriticalPath; the result aliases s.
@@ -295,15 +311,153 @@ func (s *Scratch) step(g *wcg.Graph, start []int, b *bind.Binding, lambda int, p
 		g.DeleteMaxLatencyEdges(o)
 		return o, 1
 	}
-	if len(s.all) != g.D.N() {
-		s.all = make([]dfg.OpID, g.D.N())
-		for i := range s.all {
-			s.all[i] = dfg.OpID(i)
-		}
-	}
-	if o, ok := pick(g, b, s.all); ok {
+	if o, ok := pick(g, b, s.allOps(g.D.N())); ok {
 		g.DeleteMaxLatencyEdges(o)
 		return o, 1
 	}
 	return 0, 0
+}
+
+// allOps returns the operation IDs 0, 1, …, n−1, cached in s.
+func (s *Scratch) allOps(n int) []dfg.OpID {
+	if len(s.all) != n {
+		s.all = make([]dfg.OpID, n)
+		for i := range s.all {
+			s.all[i] = dfg.OpID(i)
+		}
+	}
+	return s.all
+}
+
+// StepAll refines up to max(k, 1) victims chosen from the whole operation
+// set with no binding, as an Eqn. 3 deadlock round does: each victim is
+// pick(g, nil, all) against the graph as it shrinks. A nil pick is
+// ChooseVictim, served from the lazy queue of the package comment.
+// Returns the number of operations refined; 0 means nothing anywhere is
+// reducible.
+func (s *Scratch) StepAll(g *wcg.Graph, pick Policy, k int) int {
+	done := 0
+	if pick != nil {
+		all := s.allOps(g.D.N())
+		for ; done < max(k, 1); done++ {
+			o, ok := pick(g, nil, all)
+			if !ok {
+				break
+			}
+			g.DeleteMaxLatencyEdges(o)
+		}
+		return done
+	}
+	q := &s.queue
+	if q.g != g || q.edges != g.NumHEdges() {
+		q.load(g)
+	}
+	for ; done < max(k, 1); done++ {
+		o, ok := q.pop(g)
+		if !ok {
+			break
+		}
+		g.DeleteMaxLatencyEdges(o)
+		if g.Reducible(o) {
+			q.push(keyOf(g, o))
+		}
+	}
+	q.edges = g.NumHEdges()
+	return done
+}
+
+// victimQueue is StepAll's lazy queue: a binary min-heap holding one
+// entry per reducible operation of g, keyed by a lower bound of its
+// (del/den, ID). edges is g.NumHEdges() as the queue last left it.
+type victimQueue struct {
+	g     *wcg.Graph
+	edges int
+	heap  []victimKey
+}
+
+// victimKey is an operation with the del and den its key was taken at.
+type victimKey struct {
+	del, den int
+	op       dfg.OpID
+}
+
+// keyOf is o's true key on g.
+func keyOf(g *wcg.Graph, o dfg.OpID) victimKey {
+	return victimKey{g.MaxLatencyKindCount(o), g.KindEdgeCount(o), o}
+}
+
+// less orders keys by del/den (exact cross multiplication), then ID.
+func (a victimKey) less(b victimKey) bool {
+	l, r := a.del*b.den, b.del*a.den
+	return l < r || l == r && a.op < b.op
+}
+
+// load fills the queue with g's reducible operations at their true keys.
+func (q *victimQueue) load(g *wcg.Graph) {
+	q.g, q.heap = g, q.heap[:0]
+	for o := 0; o < g.D.N(); o++ {
+		if id := dfg.OpID(o); g.Reducible(id) {
+			q.heap = append(q.heap, keyOf(g, id))
+		}
+	}
+	for i := len(q.heap)/2 - 1; i >= 0; i-- {
+		q.down(i)
+	}
+}
+
+// pop removes and returns ChooseVictim(g, nil, all), or false when no
+// operation is reducible.
+func (q *victimQueue) pop(g *wcg.Graph) (dfg.OpID, bool) {
+	for len(q.heap) > 0 {
+		// Every entry is reducible: only its own refinement makes an
+		// operation irreducible, and the queue re-pushes a victim only
+		// while it is reducible.
+		k := keyOf(g, q.heap[0].op)
+		if k == q.heap[0] {
+			q.removeTop()
+			return k.op, true
+		}
+		q.heap[0] = k
+		q.down(0)
+	}
+	return 0, false
+}
+
+func (q *victimQueue) push(v victimKey) {
+	q.heap = append(q.heap, v)
+	h := q.heap
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h[i].less(h[p]) {
+			break
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+}
+
+func (q *victimQueue) removeTop() {
+	last := len(q.heap) - 1
+	q.heap[0] = q.heap[last]
+	q.heap = q.heap[:last]
+	q.down(0)
+}
+
+func (q *victimQueue) down(i int) {
+	h := q.heap
+	for {
+		l, r := 2*i+1, 2*i+2
+		m := i
+		if l < len(h) && h[l].less(h[m]) {
+			m = l
+		}
+		if r < len(h) && h[r].less(h[m]) {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
 }

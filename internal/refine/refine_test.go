@@ -1,7 +1,9 @@
 package refine
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bind"
@@ -336,4 +338,160 @@ func TestChooseVictimMatchesReference(t *testing.T) {
 	if picks == 0 {
 		t.Fatal("no victim was ever chosen")
 	}
+}
+
+// TestVictimQueueMatchesChooseVictim: StepAll with the lazy queue refines
+// exactly the victims ChooseVictim(g, nil, all) picks one at a time, while
+// the queue is repeatedly bypassed — StepBatch rounds and direct
+// deletions on the same graph, and alternation between the graph and a
+// clone. A wrong pick surfaces as H edges that differ from the reference
+// run's. The random graphs are join-closed, where refining an operation
+// practically never lowers its own del/den; undercutGraph is built so
+// that a bypassing deletion does, and only a queue that reloads after it
+// picks right.
+func TestVictimQueueMatchesChooseVictim(t *testing.T) {
+	lib := model.Default()
+	var picks, bypassed int
+	// check runs StepAll(w, nil, k) against the reference on a clone.
+	check := func(name string, s *Scratch, w *wcg.Graph, k int) {
+		t.Helper()
+		all := make([]dfg.OpID, w.D.N())
+		for i := range all {
+			all[i] = dfg.OpID(i)
+		}
+		ref := w.Clone()
+		want := 0
+		for ; want < k; want++ {
+			o, ok := ChooseVictim(ref, nil, all)
+			if !ok {
+				break
+			}
+			ref.DeleteMaxLatencyEdges(o)
+		}
+		got := s.StepAll(w, nil, k)
+		if got != want || !sameEdges(w, ref) {
+			t.Fatalf("%s: StepAll(k=%d) refined %d, reference %d; same edges %t", name, k, got, want, sameEdges(w, ref))
+		}
+		picks += got
+	}
+
+	g, x := undercutGraph(t)
+	var s Scratch
+	check("undercut", &s, g, 1)
+	g.DeleteMaxLatencyEdges(x)
+	check("undercut after a bypassing deletion", &s, g, 1)
+
+	for _, n := range []int{8, 40, 200} {
+		for seed := int64(1); seed <= 4; seed++ {
+			d, err := tgff.Generate(tgff.Config{N: n, Seed: seed * 31})
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := wcg.Build(d, lib)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rnd := rand.New(rand.NewSource(seed + int64(n)))
+			pair := [2]*wcg.Graph{g, g.Clone()}
+			var s Scratch
+			for round := 0; !nothingReducible(pair[0]) || !nothingReducible(pair[1]); round++ {
+				w := pair[rnd.Intn(2)]
+				switch rnd.Intn(6) {
+				case 0:
+					r, err := sched.List(w, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					b, err := bind.Select(w, r.Start)
+					if err != nil {
+						t.Fatal(err)
+					}
+					// λ just below the makespan, as in a λ-violation
+					// round.
+					bypassed += s.StepBatch(w, r.Start, b, r.Makespan-1, ChooseVictim, 1+rnd.Intn(3))
+				case 1:
+					if w.DeleteMaxLatencyEdges(dfg.OpID(rnd.Intn(n))) > 0 {
+						bypassed++
+					}
+				}
+				check(fmt.Sprintf("N=%d seed=%d round=%d", n, seed, round), &s, w, 1+rnd.Intn(4))
+			}
+		}
+	}
+	t.Logf("%d queue picks, %d refinements behind the queue's back", picks, bypassed)
+	if bypassed == 0 {
+		t.Fatal("no refinement bypassed the queue")
+	}
+}
+
+// undercutGraph returns a graph, and an operation x of it, where
+// refining x lowers x's del/den below every other key. Multipliers 4x4
+// (x among them) may run on 4x4 (latency 1), 8x8 (2), 20x4 and 19x5 (3):
+// del/den is 2/22, and 1/16 once the two slowest kinds are gone. The
+// only kind of ten 8x8 multipliers is 8x8. Adders on a library where
+// width sets latency share nothing with them: four 4-bit adders may run
+// on add 4 (latency 1) and add 8 (2), at 1/13, and five 8-bit adders
+// only on add 8. The first victim is an adder; the others then read 1/12.
+func undercutGraph(t *testing.T) (*wcg.Graph, dfg.OpID) {
+	t.Helper()
+	d := dfg.New()
+	x := d.AddOp("x", model.Mul, model.Sig(4, 4))
+	for i := 0; i < 2; i++ {
+		d.AddOp("", model.Mul, model.Sig(4, 4))
+	}
+	for i := 0; i < 10; i++ {
+		d.AddOp("", model.Mul, model.Sig(8, 8))
+	}
+	for i := 0; i < 4; i++ {
+		d.AddOp("", model.Add, model.AddSig(4))
+	}
+	for i := 0; i < 5; i++ {
+		d.AddOp("", model.Add, model.AddSig(8))
+	}
+	def := model.Default()
+	lib := &model.Library{
+		Latency: func(k model.Kind) int {
+			if k.Class == model.Add {
+				return (k.Sig.Hi + 3) / 4
+			}
+			return def.Latency(k)
+		},
+		Area: def.Area,
+	}
+	kinds := []model.Kind{
+		{Class: model.Mul, Sig: model.Sig(4, 4)},
+		{Class: model.Mul, Sig: model.Sig(8, 8)},
+		{Class: model.Mul, Sig: model.Sig(20, 4)},
+		{Class: model.Mul, Sig: model.Sig(19, 5)},
+		{Class: model.Add, Sig: model.AddSig(4)},
+		{Class: model.Add, Sig: model.AddSig(8)},
+	}
+	g, err := wcg.BuildWithKinds(d, lib, kinds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, x
+}
+
+// sameEdges reports whether a and b have the same H edges.
+func sameEdges(a, b *wcg.Graph) bool {
+	if a.NumHEdges() != b.NumHEdges() {
+		return false
+	}
+	for o := 0; o < a.D.N(); o++ {
+		if !slices.Equal(a.CompatKinds(dfg.OpID(o)), b.CompatKinds(dfg.OpID(o))) {
+			return false
+		}
+	}
+	return true
+}
+
+// nothingReducible reports whether g is at the refinement fixpoint.
+func nothingReducible(g *wcg.Graph) bool {
+	for o := 0; o < g.D.N(); o++ {
+		if g.Reducible(dfg.OpID(o)) {
+			return false
+		}
+	}
+	return true
 }

@@ -29,6 +29,19 @@
 // the certificate after every placement that raised a class's sum, on
 // that class's signatures, and fails there. Schedules that succeed are
 // identical to List's. Without signatures (|S| > 64) Try is List.
+//
+// Between two rounds of a ladder the compatibility graph only loses a few
+// H edges, so Scratch.SchedulingSet replays its previous greedy on the
+// same graph instead of starting over. The greedy takes kinds e_1, e_2, …
+// with cover counts c_i = |O(e_i) ∩ U_i| against the still-uncovered set
+// U_i, each the best under (cover desc, area asc, index asc). Suppose the
+// replay has reproduced U_i and |O'(e_i) ∩ U_i| still equals c_i on the
+// current graph. Since O'(e_i) ⊆ O(e_i), e_i covers exactly the same
+// operations as before, so U_{i+1} is reproduced too. Every other kind r
+// has |O'(r) ∩ U_i| ≤ |O(r) ∩ U_i|, so e_i still wins the total order,
+// and a fresh greedy takes it. The replay stops at the first step whose
+// count changed and runs the plain greedy from there. The set is exactly
+// the fresh greedy's, whatever the replay kept.
 package sched
 
 import (
@@ -88,104 +101,80 @@ func (e *InfeasibleError) Is(target error) bool { return target == ErrResourceIn
 // kind-adjacency bit sets against the uncovered set, so each round is
 // O(|R| · n/64) rather than a per-kind operation-list scan.
 func SchedulingSet(g *wcg.Graph) []int {
-	return new(Scratch).schedulingSet(g)
+	return new(Scratch).SchedulingSet(g)
 }
 
-// setCand is a lazily maintained candidate of the scheduling-set cover:
-// the last known number of uncovered operations a kind covers.
-type setCand struct {
-	ki    int
-	cover int
-	area  int64
+// setStep is one selection of the scheduling-set greedy: the kind taken
+// and the number of then-uncovered operations it covered.
+type setStep struct {
+	ki, cover int
 }
 
-// schedulingSet is SchedulingSet with its uncovered set and candidate
-// heap kept in s. The returned set is freshly allocated.
-func (s *Scratch) schedulingSet(g *wcg.Graph) []int {
+// SchedulingSet is the package-level SchedulingSet running in s. On the
+// graph of its previous call it first replays that call's greedy (see
+// the package comment), so a ladder round pays only for the selections
+// its deletions changed. The returned set is freshly allocated.
+func (s *Scratch) SchedulingSet(g *wcg.Graph) []int {
 	n := g.D.N()
-	s.uncovered = append(s.uncovered[:0], make([]uint64, (n+63)/64)...) // the words of bitset.New(n)
-	uncovered := s.uncovered
-	for i := 0; i < n; i++ {
-		uncovered.Add(i)
+	// The words of bitset.New(n), all of its members present.
+	uncovered := s.uncovered[:0]
+	for i := 0; i < n; i += 64 {
+		uncovered = append(uncovered, ^uint64(0)>>uint(max(0, i+64-n)))
 	}
+	s.uncovered = uncovered
 	remaining := n
-	var set []int
-	// Lazy greedy: cover counts only shrink as operations get covered,
-	// so a cached count is an upper bound and the popped top, once its
-	// count validates, beats every other kind — the selection sequence
-	// is identical to rescanning all kinds each round. The comparator
-	// (cover desc, area asc, index asc) reproduces the scan's winner.
-	type cand = setCand
-	better := func(a, b cand) bool {
-		if a.cover != b.cover {
-			return a.cover > b.cover
-		}
-		if a.area != b.area {
-			return a.area < b.area
-		}
-		return a.ki < b.ki
-	}
-	h := s.setHeap[:0]
-	push := func(v cand) {
-		h = append(h, v)
-		for i := len(h) - 1; i > 0; {
-			p := (i - 1) / 2
-			if better(h[p], h[i]) {
+	// Replay: while each traced kind still covers exactly its traced
+	// count of the uncovered operations, it is what a fresh greedy takes.
+	trace := s.setTrace[:0]
+	if s.setG == g {
+		for _, st := range s.setTrace {
+			if g.CompatOpBits(st.ki).IntersectCount(uncovered) != st.cover {
 				break
 			}
-			h[p], h[i] = h[i], h[p]
-			i = p
+			trace = append(trace, st)
+			remaining -= st.cover
+			uncovered.Difference(g.CompatOpBits(st.ki))
 		}
 	}
-	pop := func() cand {
-		top := h[0]
-		last := len(h) - 1
-		h[0] = h[last]
-		h = h[:last]
-		for i := 0; ; {
-			l, r := 2*i+1, 2*i+2
-			m := i
-			if l < len(h) && better(h[l], h[m]) {
-				m = l
-			}
-			if r < len(h) && better(h[r], h[m]) {
-				m = r
-			}
-			if m == i {
-				break
-			}
-			h[i], h[m] = h[m], h[i]
-			i = m
-		}
-		return top
-	}
-	for ki := range g.Kinds {
-		if c := g.CompatOpCount(ki); c > 0 {
-			push(cand{ki: ki, cover: c, area: g.Lib.Area(g.Kinds[ki])})
-		}
+	// The rest is the plain greedy: the kind covering the most uncovered
+	// operations, then the smallest area, then the lowest index. Covers
+	// only fall as operations get covered, so bound[ki], the last cover
+	// counted (initially |O(r)|), skips kinds that cannot win.
+	bound := append(s.setBound[:0], make([]int, len(g.Kinds))...)
+	s.setBound = bound
+	for ki := range bound {
+		bound[ki] = g.CompatOpCount(ki)
 	}
 	for remaining > 0 {
-		if len(h) == 0 {
+		best, bestCover := -1, 0
+		var bestArea int64
+		for ki, ub := range bound {
+			if ub == 0 || ub < bestCover {
+				continue
+			}
+			c := g.CompatOpBits(ki).IntersectCount(uncovered)
+			bound[ki] = c
+			if c == 0 || c < bestCover {
+				continue
+			}
+			if a := g.Lib.Area(g.Kinds[ki]); c > bestCover || a < bestArea {
+				best, bestCover, bestArea = ki, c, a
+			}
+		}
+		if best < 0 {
 			// Build guarantees every op has an edge, so this cannot
 			// happen for a consistent graph.
 			panic("sched: operation with no compatible kind")
 		}
-		e := pop()
-		c := g.CompatOpBits(e.ki).IntersectCount(uncovered)
-		if c == 0 {
-			continue
-		}
-		if c < e.cover {
-			e.cover = c
-			push(e)
-			continue
-		}
-		set = append(set, e.ki)
-		remaining -= c
-		uncovered.Difference(g.CompatOpBits(e.ki))
-		// A selected kind's future cover is zero; it never re-enters.
+		trace = append(trace, setStep{best, bestCover})
+		remaining -= bestCover
+		uncovered.Difference(g.CompatOpBits(best))
 	}
-	s.setHeap = h
+	s.setG, s.setTrace = g, trace
+	set := make([]int, len(trace))
+	for i, st := range trace {
+		set[i] = st.ki
+	}
 	sort.Ints(set)
 	return set
 }
@@ -218,8 +207,13 @@ func List(g *wcg.Graph, limits Limits) (Result, error) {
 type Scratch struct {
 	acct      eqn3Acct
 	uncovered bitset.Set
-	setHeap   []setCand
-	sigOf     map[uint64]int
+	// setG and setTrace are the graph and the selections of the last
+	// SchedulingSet call, replayed by the next call on the same graph;
+	// setBound holds the greedy's cover bounds.
+	setG      *wcg.Graph
+	setTrace  []setStep
+	setBound  []int
+	sigOf     sigTable
 	sizes     []int
 	slotLimit []int64
 	prio      []int
@@ -284,7 +278,7 @@ func list(g *wcg.Graph, limits Limits, mode constraintMode, s *Scratch, failFast
 	if len(limits) > 0 {
 		switch mode {
 		case modeEqn3:
-			res.SchedSet = s.schedulingSet(g)
+			res.SchedSet = s.SchedulingSet(g)
 			a3 = s.eqn3Accountant(g, res.SchedSet, limits, failFast)
 			acct = a3
 			sig, sigEpoch, sigOkL, sigBadL = a3.sig, a3.sigEpoch, a3.sigOkL, a3.sigBadL
@@ -691,33 +685,29 @@ func (s *Scratch) eqn3Accountant(g *wcg.Graph, set []int, limits Limits, doom bo
 			mask := a.mask
 			g.CompatOpBits(ki).ForEach(func(o int) { mask[o] |= bit })
 		}
-		if s.sigOf == nil {
-			s.sigOf = make(map[uint64]int)
-		}
-		sigOf := s.sigOf
-		clear(sigOf)
+		sigOf := &s.sigOf
+		sigOf.reset(n)
 		a.sigs = append(a.sigs[:0], make([]int, n)...)
 		a.sig = a.sigs
+		var sizeSeen uint64 // bit k-1 set: some |S(o)| is k
 		for o := 0; o < n; o++ {
 			m := a.mask[o]
 			if m == 0 {
 				panic("sched: scheduling set does not cover operation")
 			}
 			sizes[o] = bits.OnesCount64(m)
-			a.scale = lcm(a.scale, int64(sizes[o]))
+			sizeSeen |= 1 << uint(sizes[o]-1)
 			first := bits.TrailingZeros64(m)
 			a.classOf[o] = a.slotClass[first]
 			a.limitScaled[o] = slotLimit[first]
-			id, ok := sigOf[m]
-			if !ok {
-				id = len(sigOf)
-				sigOf[m] = id
-			}
-			a.sig[o] = id
+			a.sig[o] = sigOf.id(m)
 		}
-		a.sigEpoch = append(a.sigEpoch[:0], make([]int, len(sigOf))...)
-		a.sigOkL = append(a.sigOkL[:0], make([]int, len(sigOf))...)
-		a.sigBadL = append(a.sigBadL[:0], make([]int, len(sigOf))...)
+		for m := sizeSeen; m != 0; m &= m - 1 {
+			a.scale = lcm(a.scale, int64(bits.TrailingZeros64(m)+1))
+		}
+		a.sigEpoch = append(a.sigEpoch[:0], make([]int, sigOf.n)...)
+		a.sigOkL = append(a.sigOkL[:0], make([]int, sigOf.n)...)
+		a.sigBadL = append(a.sigBadL[:0], make([]int, sigOf.n)...)
 	} else {
 		a.sOf = make([][]int, n)
 		for si, ki := range set {
@@ -931,6 +921,47 @@ func (a *eqn3Acct) addLoad(si, step int, w int64) {
 		a.load[si] = append(a.load[si], 0)
 	}
 	a.load[si][step] += w
+}
+
+// sigTable numbers the distinct S(o) masks in order of first sight: an
+// open-addressed hash table with linear probing, at least twice as many
+// slots as operations, reused across calls. Masks are never zero, so a
+// zero key marks an empty slot.
+type sigTable struct {
+	keys  []uint64
+	ids   []int
+	shift uint // 64 − log2(len(keys))
+	n     int  // signatures numbered so far
+}
+
+// reset empties the table and sizes it for n operations.
+func (t *sigTable) reset(n int) {
+	size := 2
+	for size < 2*n {
+		size <<= 1
+	}
+	if len(t.keys) != size {
+		t.keys, t.ids = make([]uint64, size), make([]int, size)
+		t.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	} else {
+		clear(t.keys)
+	}
+	t.n = 0
+}
+
+// id returns m's signature number, numbering m next if it is new.
+func (t *sigTable) id(m uint64) int {
+	last := len(t.keys) - 1
+	for i := int((m * 0x9e3779b97f4a7c15) >> t.shift); ; i = (i + 1) & last {
+		switch t.keys[i] {
+		case m:
+			return t.ids[i]
+		case 0:
+			t.keys[i], t.ids[i] = m, t.n
+			t.n++
+			return t.n - 1
+		}
+	}
 }
 
 func gcd(a, b int64) int64 {

@@ -189,9 +189,10 @@ func TestFullyRefineIsTheFixpointQuick(t *testing.T) {
 
 // TestVictimTermsMaintainedQuick: after random deletions, on graphs and
 // on clones taken along the way and refined on independently, the
-// maintained victim-metric terms equal their definitions recomputed
-// from the H edges: KindEdgeCount(o) = Σ_{r∈H(o)} |O(r)| and
-// MaxLatencyKindCount(o) = |{r ∈ H(o) : ℓ(r) = L_o}|.
+// victim-metric terms equal their definitions recomputed from the H
+// edges: KindEdgeCount(o) = Σ_{r∈H(o)} |O(r)| (which checks the
+// maintained |O(r)|) and the maintained MaxLatencyKindCount(o) =
+// |{r ∈ H(o) : ℓ(r) = L_o}|.
 func TestVictimTermsMaintainedQuick(t *testing.T) {
 	lib := model.Default()
 	check := func(g *Graph) bool {

@@ -20,6 +20,15 @@
 // only for kinds whose edge set actually changed. Membership tests and
 // edge counts are O(1) instead of adjacency-list scans — the difference
 // between 100- and 1000-node graphs being tractable.
+//
+// A Graph only ever loses H edges. So O(r) and |O(r)| can only shrink,
+// and so can KindEdgeCount(o) of every operation o but the one refined.
+// The incremental consumers rest on that monotonicity rather than
+// on state kept here: sched replays its last scheduling-set greedy on the
+// same *Graph, and refine keeps a lazy victim queue whose cached metric is
+// a lower bound. Both detect a different *Graph by pointer; NumHEdges,
+// which strictly falls with every deletion, tells refine whether anyone
+// else deleted edges since it last looked.
 package wcg
 
 import (
@@ -59,10 +68,6 @@ type Graph struct {
 	upper []int
 	min   []int
 	nmax  []int
-	// den[o] = Σ_{r∈H(o)} |O(r)|, the H edges incident on o's kinds:
-	// the denominator of refine's victim metric, repaired on every
-	// deletion so the metric reads in O(1).
-	den []int
 	// edges counts the H edges remaining.
 	edges int
 	// topo memoizes D.TopoOrder(): D is immutable for the lifetime of
@@ -120,7 +125,6 @@ func BuildWithKinds(d *dfg.Graph, lib *model.Library, kinds []model.Kind) (*Grap
 	g.upper = make([]int, n)
 	g.min = make([]int, n)
 	g.nmax = make([]int, n)
-	g.den = make([]int, n)
 	for _, o := range d.Ops() {
 		g.hBits[o.ID] = bitset.New(len(kinds))
 		for ki, k := range kinds {
@@ -137,7 +141,6 @@ func BuildWithKinds(d *dfg.Graph, lib *model.Library, kinds []model.Kind) (*Grap
 		}
 		g.recomputeBounds(o.ID)
 	}
-	g.recomputeDen()
 	return g, nil
 }
 
@@ -203,8 +206,14 @@ func (g *Graph) MinLatency(o dfg.OpID) int { return g.min[o] }
 func (g *Graph) MaxLatencyKindCount(o dfg.OpID) int { return g.nmax[o] }
 
 // KindEdgeCount returns Σ_{r∈H(o)} |O(r)|: the number of H edges incident
-// on the kinds compatible with o, maintained across edge deletions.
-func (g *Graph) KindEdgeCount(o dfg.OpID) int { return g.den[o] }
+// on the kinds compatible with o, summed over H(o) on each call.
+func (g *Graph) KindEdgeCount(o dfg.OpID) int {
+	den := 0
+	for _, ki := range g.h[o] {
+		den += g.opCount[ki]
+	}
+	return den
+}
 
 // UpperLatSlice returns L_o for every operation as a slice indexed by
 // operation ID, for indexed access in scheduler hot loops. The slice is
@@ -228,12 +237,6 @@ func (g *Graph) Reducible(o dfg.OpID) bool { return g.min[o] < g.upper[o] }
 // It refuses to act, returning 0, when o is not Reducible, so an
 // operation always keeps at least one compatible kind.
 func (g *Graph) DeleteMaxLatencyEdges(o dfg.OpID) int {
-	return g.deleteMaxLatencyEdges(o, true)
-}
-
-// deleteMaxLatencyEdges is DeleteMaxLatencyEdges; with keepDen false it
-// leaves den stale for the caller to recompute.
-func (g *Graph) deleteMaxLatencyEdges(o dfg.OpID, keepDen bool) int {
 	if !g.Reducible(o) {
 		return 0
 	}
@@ -245,12 +248,6 @@ func (g *Graph) deleteMaxLatencyEdges(o dfg.OpID, keepDen bool) int {
 			deleted++
 			g.hBits[o].Remove(ki)
 			g.opBits[ki].Remove(int(o))
-			if keepDen {
-				// o loses the kind's whole count; every op still on
-				// the kind sees it cover one op fewer.
-				g.den[o] -= g.opCount[ki]
-				g.opBits[ki].ForEach(func(p int) { g.den[p]-- })
-			}
 			g.opCount[ki]--
 			g.opsDirty[ki] = true
 		} else {
@@ -265,16 +262,6 @@ func (g *Graph) deleteMaxLatencyEdges(o dfg.OpID, keepDen bool) int {
 	return deleted
 }
 
-// recomputeDen sets den from the current H edges.
-func (g *Graph) recomputeDen() {
-	for o, ks := range g.h {
-		g.den[o] = 0
-		for _, ki := range ks {
-			g.den[o] += g.opCount[ki]
-		}
-	}
-}
-
 // FullyRefine drives the graph to the refinement fixpoint: every
 // operation keeps exactly its minimum-latency kinds. Deletions are
 // per-operation independent, so the fixpoint is unique — it is the state
@@ -284,10 +271,9 @@ func (g *Graph) FullyRefine() int {
 	deleted := 0
 	for o := 0; o < g.D.N(); o++ {
 		for g.Reducible(dfg.OpID(o)) {
-			deleted += g.deleteMaxLatencyEdges(dfg.OpID(o), false)
+			deleted += g.DeleteMaxLatencyEdges(dfg.OpID(o))
 		}
 	}
-	g.recomputeDen()
 	return deleted
 }
 
@@ -302,7 +288,6 @@ func (g *Graph) Clone() *Graph {
 		upper: append([]int(nil), g.upper...),
 		min:   append([]int(nil), g.min...),
 		nmax:  append([]int(nil), g.nmax...),
-		den:   append([]int(nil), g.den...),
 		edges: g.edges,
 		topo:  g.topo,
 	}
