@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	go test -bench . -benchtime 1x -benchmem -run '^$' . | benchjson parse -o BENCH.json
+//	go test -bench . -benchtime 1x -benchmem -run '^$' . ./cmd/mwld | benchjson parse -o BENCH.json
 //	benchjson compare -threshold 25 -match '^BenchmarkTable2|^BenchmarkFig' baseline.json BENCH.json
 //
 // parse reads benchmark output from a file argument or stdin and writes
@@ -32,7 +32,7 @@ type Report struct {
 	Schema     int                  `json:"schema"`
 	Goos       string               `json:"goos,omitempty"`
 	Goarch     string               `json:"goarch,omitempty"`
-	Pkg        string               `json:"pkg,omitempty"`
+	Pkg        string               `json:"pkg,omitempty"` // space-separated, in input order
 	CPU        string               `json:"cpu,omitempty"`
 	Benchmarks map[string]Benchmark `json:"benchmarks"`
 }
@@ -119,9 +119,13 @@ func runParse(args []string) error {
 	return os.WriteFile(*out, enc, 0o644)
 }
 
-// parseBench reads `go test -bench` output into a Report.
+// parseBench reads `go test -bench` output into a Report. Output of
+// several packages (one `pkg:` header each) merges into one report; a
+// benchmark name reported by two packages is an error, since the
+// report keys rows by name alone.
 func parseBench(r io.Reader) (*Report, error) {
 	rep := &Report{Schema: 1, Benchmarks: map[string]Benchmark{}}
+	pkg, pkgOf := "", map[string]string{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
@@ -134,16 +138,22 @@ func parseBench(r io.Reader) (*Report, error) {
 			rep.Goarch = strings.TrimPrefix(line, "goarch: ")
 			continue
 		case strings.HasPrefix(line, "pkg: "):
-			rep.Pkg = strings.TrimPrefix(line, "pkg: ")
+			pkg = strings.TrimPrefix(line, "pkg: ")
+			rep.Pkg = strings.TrimSpace(rep.Pkg + " " + pkg)
 			continue
 		case strings.HasPrefix(line, "cpu: "):
 			rep.CPU = strings.TrimPrefix(line, "cpu: ")
 			continue
 		}
 		name, b, ok := parseLine(line)
-		if ok {
-			rep.Benchmarks[name] = b
+		if !ok {
+			continue
 		}
+		if prev, seen := pkgOf[name]; seen && prev != pkg {
+			return nil, fmt.Errorf("benchmark %s reported by both %s and %s", name, prev, pkg)
+		}
+		pkgOf[name] = pkg
+		rep.Benchmarks[name] = b
 	}
 	return rep, sc.Err()
 }

@@ -49,6 +49,42 @@ func TestParseBench(t *testing.T) {
 	}
 }
 
+// twoPackages is `go test -bench . . ./cmd/mwld` output: each package
+// prints its own header block.
+const twoPackages = sample + `goos: linux
+goarch: amd64
+pkg: repro/cmd/mwld
+cpu: Intel(R) Xeon(R) Processor @ 2.70GHz
+BenchmarkServe/hit-8            	    2000	    306844 ns/op	         1.000 hashes/op	   47801 B/op	     327 allocs/op
+BenchmarkServe/relayed-hit-8    	    2000	    428006 ns/op	         1.000 hashes/op	   55848 B/op	     429 allocs/op
+PASS
+ok  	repro/cmd/mwld	13.912s
+`
+
+func TestParseBenchTwoPackages(t *testing.T) {
+	rep, err := parseBench(strings.NewReader(twoPackages))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Pkg != "repro repro/cmd/mwld" {
+		t.Fatalf("pkg %q, want both packages in input order", rep.Pkg)
+	}
+	if len(rep.Benchmarks) != 6 {
+		t.Fatalf("parsed %d benchmarks, want 6", len(rep.Benchmarks))
+	}
+	if b := rep.Benchmarks["BenchmarkTable2ILP/lambda=1.00"]; b.NsPerOp != 991617 {
+		t.Fatalf("first package's row: %+v", b)
+	}
+	hit := rep.Benchmarks["BenchmarkServe/hit"]
+	if hit.NsPerOp != 306844 || hit.Metrics["hashes/op"] != 1 || hit.AllocsPerOp != 327 {
+		t.Fatalf("second package's row: %+v", hit)
+	}
+	clash := twoPackages + strings.Replace(sample, "pkg: repro\n", "pkg: repro/other\n", 1)
+	if _, err := parseBench(strings.NewReader(clash)); err == nil {
+		t.Fatal("a benchmark name reported by two packages was accepted")
+	}
+}
+
 func TestParseLineRejectsGarbage(t *testing.T) {
 	for _, line := range []string{
 		"PASS",

@@ -23,6 +23,15 @@ import (
 // than bouncing between replicas that each believe the other owns it.
 const forwardedHeader = "X-Mwld-Forwarded"
 
+// keyHeader carries a relayed problem's canonical hash next to
+// forwardedHeader, so the owner need not hash the body again — and can
+// answer a cache hit without decoding it. Any client can set it, so it
+// is trusted to read, never to store: the owner serves a cached entry
+// under it (the same read GET /internal/v1/solution/{key} offers), but
+// on a miss it hashes the decoded problem and rejects a mismatch before
+// anything is solved or cached under the key.
+const keyHeader = "X-Mwld-Key"
+
 // defaultRelayLimit caps how much of an owner's response body the
 // forwarder will buffer before classifying the relay as failed.
 const defaultRelayLimit = 64 << 20
@@ -133,11 +142,10 @@ func normalizeAddr(a string) string {
 	return a
 }
 
-// owner returns the replica owning p, or "" when the problem cannot be
-// hashed (and so has no owner — it is solved wherever it lands).
-func (c *cluster) owner(p mwl.Problem) string {
-	key, err := p.Hash()
-	if err != nil {
+// owner returns the replica owning key, or "" when the problem has no
+// canonical hash (key "", so no owner — it is solved wherever it lands).
+func (c *cluster) owner(key string) string {
+	if key == "" {
 		return ""
 	}
 	return c.ring.Owner(key)
@@ -150,14 +158,13 @@ func (c *cluster) alive(addr string) bool {
 	return addr == c.self || c.health == nil || c.health.up(addr)
 }
 
-// target returns the replica that should answer p right now: the first
-// live replica in the key's rank order — the true owner when it is up,
-// otherwise the deterministic failover target — or "" when the problem
-// has no canonical hash. Self always qualifies, so a fully partitioned
-// replica degrades to solving everything locally.
-func (c *cluster) target(p mwl.Problem) string {
-	key, err := p.Hash()
-	if err != nil {
+// target returns the replica that should answer key right now: the
+// first live replica in the key's rank order — the true owner when it is
+// up, otherwise the deterministic failover target — or "" when the
+// problem has no canonical hash. Self always qualifies, so a fully
+// partitioned replica degrades to solving everything locally.
+func (c *cluster) target(key string) string {
+	if key == "" {
 		return ""
 	}
 	return c.ring.First(key, c.alive)
@@ -178,30 +185,28 @@ func (c *cluster) routeCounters(target, trueOwner string) {
 	}
 }
 
-// serveLocal answers p on this replica. When this replica is not the
-// problem's true owner (it is acting for a down owner, or a forward
-// landed here), the ranked replicas' stores are read through before any
-// local compute: first the local cache/store, then the live peers in
-// rank order via the internal fetch endpoint — so a replica dying does
-// not trigger a recomputation storm for the keys it already solved and
-// replicated.
-func (c *cluster) serveLocal(ctx context.Context, svc *mwl.Service, p mwl.Problem, trueOwner string) (mwl.Solution, error) {
-	if trueOwner != "" && trueOwner != c.self {
-		if key, err := p.Hash(); err == nil {
-			if sol, ok := svc.Peek(key); ok {
-				sol.Cached = true
-				return sol, nil
-			}
-			if sol, ok := c.readThrough(ctx, key); ok {
-				c.readHits.Add(1)
-				svc.Admit(key, sol)
-				sol.Cached = true
-				return sol, nil
-			}
-			c.readMisses.Add(1)
+// serveLocal answers p, whose canonical hash is key, on this replica.
+// When this replica is not the problem's true owner (it is acting for a
+// down owner, or a forward landed here), the ranked replicas' stores are
+// read through before any local compute: first the local cache/store,
+// then the live peers in rank order via the internal fetch endpoint — so
+// a replica dying does not trigger a recomputation storm for the keys it
+// already solved and replicated.
+func (c *cluster) serveLocal(ctx context.Context, svc *mwl.Service, key string, p mwl.Problem) (mwl.Solution, error) {
+	if trueOwner := c.owner(key); trueOwner != "" && trueOwner != c.self {
+		if sol, ok := svc.Peek(key); ok {
+			sol.Cached = true
+			return sol, nil
 		}
+		if sol, ok := c.readThrough(ctx, key); ok {
+			c.readHits.Add(1)
+			svc.Admit(key, sol)
+			sol.Cached = true
+			return sol, nil
+		}
+		c.readMisses.Add(1)
 	}
-	return svc.Solve(ctx, p)
+	return svc.SolveKeyed(ctx, key, p)
 }
 
 // readThrough asks every live ranked peer, owner-first, for its stored
@@ -257,23 +262,26 @@ func (c *cluster) observeFailure(addr string) {
 	}
 }
 
+// keyedSolve answers one problem whose canonical hash the caller
+// already computed.
+type keyedSolve func(ctx context.Context, key string, p mwl.Problem) (mwl.Solution, error)
+
 // solver returns the per-problem solve function for batch endpoints:
 // problems are answered by the first live ranked replica — locally when
 // that is us, otherwise forwarded with a read-through-then-recompute
-// fallback. Passed to Service.SolveBatchVia, which bounds the fan-out
-// either way.
-func (c *cluster) solver(svc *mwl.Service) func(context.Context, mwl.Problem) (mwl.Solution, error) {
-	return func(ctx context.Context, p mwl.Problem) (mwl.Solution, error) {
-		trueOwner := c.owner(p)
-		target := c.target(p)
+// fallback. SolveBatchVia bounds the fan-out either way.
+func (c *cluster) solver(svc *mwl.Service) keyedSolve {
+	return func(ctx context.Context, key string, p mwl.Problem) (mwl.Solution, error) {
+		trueOwner := c.owner(key)
+		target := c.target(key)
 		if target == "" || target == c.self {
 			c.routeCounters(target, trueOwner)
-			return c.serveLocal(ctx, svc, p, trueOwner)
+			return c.serveLocal(ctx, svc, key, p)
 		}
-		if trueOwner != "" && target != trueOwner {
+		if target != trueOwner {
 			c.rerouted.Add(1)
 		}
-		sol, err, relayed := c.forwardSolve(ctx, target, p)
+		sol, err, relayed := c.forwardSolve(ctx, target, key, p)
 		if relayed {
 			c.forwarded.Add(1)
 			return sol, err
@@ -282,7 +290,7 @@ func (c *cluster) solver(svc *mwl.Service) func(context.Context, mwl.Problem) (m
 			return mwl.Solution{}, ctx.Err()
 		}
 		c.fallback.Add(1)
-		return c.serveLocal(ctx, svc, p, trueOwner)
+		return c.serveLocal(ctx, svc, key, p)
 	}
 }
 
@@ -290,9 +298,9 @@ func (c *cluster) solver(svc *mwl.Service) func(context.Context, mwl.Problem) (m
 // forwarded here: never forwarded onward, but still read-through-aware,
 // so a forward that lands on a non-owner (the owner died) serves the
 // replicated copy instead of recomputing.
-func (c *cluster) localSolver(svc *mwl.Service) func(context.Context, mwl.Problem) (mwl.Solution, error) {
-	return func(ctx context.Context, p mwl.Problem) (mwl.Solution, error) {
-		return c.serveLocal(ctx, svc, p, c.owner(p))
+func (c *cluster) localSolver(svc *mwl.Service) keyedSolve {
+	return func(ctx context.Context, key string, p mwl.Problem) (mwl.Solution, error) {
+		return c.serveLocal(ctx, svc, key, p)
 	}
 }
 
@@ -304,13 +312,14 @@ func unavailableStatus(code int) bool {
 	return code == 499 || code == http.StatusServiceUnavailable || code == http.StatusTooManyRequests
 }
 
-// forwardSolve proxies one problem to target's /v1/solve. relayed
-// reports whether the target answered usefully: a transport failure
-// (connection refused, mid-restart, truncated response) or an
-// unavailable status (draining, shedding) returns relayed=false and the
-// caller solves locally; any other HTTP-level answer — success or error
-// — is the target's verdict and is returned as-is.
-func (c *cluster) forwardSolve(ctx context.Context, target string, p mwl.Problem) (sol mwl.Solution, err error, relayed bool) {
+// forwardSolve proxies one problem, with its canonical hash key, to
+// target's /v1/solve. relayed reports whether the target answered
+// usefully: a transport failure (connection refused, mid-restart,
+// truncated response) or an unavailable status (draining, shedding)
+// returns relayed=false and the caller solves locally; any other
+// HTTP-level answer — success or error — is the target's verdict and is
+// returned as-is.
+func (c *cluster) forwardSolve(ctx context.Context, target, key string, p mwl.Problem) (sol mwl.Solution, err error, relayed bool) {
 	blob, err := json.Marshal(p)
 	if err != nil {
 		return mwl.Solution{}, err, false
@@ -319,8 +328,7 @@ func (c *cluster) forwardSolve(ctx context.Context, target string, p mwl.Problem
 	if err != nil {
 		return mwl.Solution{}, err, false
 	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(forwardedHeader, c.self)
+	setRelayHeaders(req, c.self, key)
 	resp, err := c.client.Do(req)
 	if err != nil {
 		if ctx.Err() == nil {
@@ -365,20 +373,27 @@ func (c *cluster) forwardSolve(ctx context.Context, target string, p mwl.Problem
 	return sol, nil, true
 }
 
-// relay proxies a single-solve request body to target and copies the
-// response — status, headers that matter, body — back to the client
-// verbatim, counting it as forwarded. Returns false when the target is
-// unreachable, draining or shedding, in which case nothing has been
-// written and the caller falls back to a local solve. A requesting
-// client that disconnected mid-relay is answered 499 without touching
-// the forwarded counter: nothing reached anyone.
-func (c *cluster) relay(w http.ResponseWriter, r *http.Request, target string, body []byte) bool {
+// setRelayHeaders marks a relayed single solve: JSON, forwarded by self,
+// carrying the problem's canonical hash key.
+func setRelayHeaders(req *http.Request, self, key string) {
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set(forwardedHeader, self)
+	req.Header.Set(keyHeader, key)
+}
+
+// relay proxies a single-solve request body, with its canonical hash
+// key, to target and copies the response — status, headers that matter,
+// body — back to the client verbatim, counting it as forwarded. Returns
+// false when the target is unreachable, draining or shedding, in which
+// case nothing has been written and the caller falls back to a local
+// solve. A requesting client that disconnected mid-relay is answered 499
+// without touching the forwarded counter: nothing reached anyone.
+func (c *cluster) relay(w http.ResponseWriter, r *http.Request, target, key string, body []byte) bool {
 	req, err := http.NewRequestWithContext(r.Context(), "POST", target+"/v1/solve", bytes.NewReader(body))
 	if err != nil {
 		return false
 	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(forwardedHeader, c.self)
+	setRelayHeaders(req, c.self, key)
 	resp, err := c.client.Do(req)
 	if err != nil {
 		// The client going away is not the owner's fault; don't burn a

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	mwl "repro"
@@ -16,15 +17,16 @@ import (
 // replica is one mwld instance of a test cluster, with its internals
 // exposed so tests can assert who actually computed what.
 type replica struct {
-	url string
-	svc *mwl.Service
-	cl  *cluster
-	srv *httptest.Server
+	url    string
+	svc    *mwl.Service
+	cl     *cluster
+	srv    *httptest.Server
+	hashes *atomic.Uint64 // request-path Problem.Hash calls on this replica
 }
 
 // startCluster brings up n replicas on real loopback listeners sharing
 // one peer list, mirroring `mwld -peers ... -self ...`.
-func startCluster(t *testing.T, n int) []*replica {
+func startCluster(t testing.TB, n int) []*replica {
 	t.Helper()
 	lns := make([]net.Listener, n)
 	urls := make([]string, n)
@@ -50,18 +52,19 @@ func startCluster(t *testing.T, n int) []*replica {
 			t.Fatal(err)
 		}
 		svc := mwl.NewService(2)
-		srv := httptest.NewUnstartedServer(newHandler(handlerConfig{svc: svc, maxBody: 1 << 20, batchMax: 64, cluster: cl}))
+		hashes := new(atomic.Uint64)
+		srv := httptest.NewUnstartedServer(newHandler(handlerConfig{svc: svc, maxBody: 1 << 20, batchMax: 64, cluster: cl, hashes: hashes}))
 		srv.Listener.Close()
 		srv.Listener = lns[i]
 		srv.Start()
-		out[i] = &replica{url: urls[i], svc: svc, cl: cl, srv: srv}
+		out[i] = &replica{url: urls[i], svc: svc, cl: cl, srv: srv, hashes: hashes}
 		t.Cleanup(srv.Close)
 	}
 	return out
 }
 
 // splitByOwner returns (owner, other) for a problem's hash.
-func splitByOwner(t *testing.T, reps []*replica, p mwl.Problem) (*replica, *replica) {
+func splitByOwner(t testing.TB, reps []*replica, p mwl.Problem) (*replica, *replica) {
 	t.Helper()
 	key, err := p.Hash()
 	if err != nil {
@@ -77,7 +80,7 @@ func splitByOwner(t *testing.T, reps []*replica, p mwl.Problem) (*replica, *repl
 	return reps[1], reps[0]
 }
 
-func mustJSON(t *testing.T, v any) []byte {
+func mustJSON(t testing.TB, v any) []byte {
 	t.Helper()
 	blob, err := json.Marshal(v)
 	if err != nil {

@@ -58,6 +58,7 @@ import (
 	"os/signal"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	mwl "repro"
@@ -188,6 +189,10 @@ type handlerConfig struct {
 	maxNodes int        // max operations per problem graph; <= 0 = unlimited
 	cluster  *cluster   // nil = single-replica mode
 	adm      *admission // nil = no admission control
+	// hashes counts the request-path Problem.Hash calls, so tests can
+	// check that each request is hashed at most once per replica; nil
+	// counts into a private counter.
+	hashes *atomic.Uint64
 }
 
 // newServer assembles the mwld HTTP server. Every request context
@@ -215,7 +220,10 @@ func newServer(addr string, cfg handlerConfig) *http.Server {
 
 // newHandler builds the mwld route table around a solve service.
 func newHandler(cfg handlerConfig) http.Handler {
-	svc, maxBody, cl := cfg.svc, cfg.maxBody, cfg.cluster
+	svc, maxBody, cl, hashes := cfg.svc, cfg.maxBody, cfg.cluster, cfg.hashes
+	if hashes == nil {
+		hashes = new(atomic.Uint64)
+	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -240,19 +248,29 @@ func newHandler(cfg handlerConfig) http.Handler {
 	routed := func(r *http.Request) bool {
 		return cl != nil && r.Header.Get(forwardedHeader) == ""
 	}
+	// keyOf is the request path's only Problem.Hash call: a request is
+	// hashed once where it enters this replica, and the key travels with
+	// it through routing, the relay and the Service.
+	keyOf := func(p mwl.Problem) string {
+		hashes.Add(1)
+		key, _ := p.Hash() // "" when p has no canonical hash: solved uncached
+		return key
+	}
 	// batchSolve is the per-problem solve of the batch endpoints:
 	// straight through the service, shard-routed in cluster mode, or —
 	// for requests a peer already forwarded here — a local solve that is
 	// still read-through-aware, so a forward rerouted past a dead owner
 	// serves the replicated copy instead of recomputing it.
 	batchSolve := func(r *http.Request) func(context.Context, mwl.Problem) (mwl.Solution, error) {
-		if cl == nil {
-			return nil // SolveBatchVia defaults to svc.Solve
-		}
+		solve := keyedSolve(svc.SolveKeyed)
 		if routed(r) {
-			return cl.solver(svc)
+			solve = cl.solver(svc)
+		} else if cl != nil {
+			solve = cl.localSolver(svc)
 		}
-		return cl.localSolver(svc)
+		return func(ctx context.Context, p mwl.Problem) (mwl.Solution, error) {
+			return solve(ctx, keyOf(p), p)
+		}
 	}
 	// admitSize enforces the per-problem node cap; a violation is the
 	// same class of refusal as an oversized batch (413 with JSON body).
@@ -304,6 +322,19 @@ func newHandler(cfg handlerConfig) http.Handler {
 		if !cfg.adm.admit(w, r) {
 			return
 		}
+		// A peer's relay carries the key it hashed. The owner reads its
+		// cache under that key before decoding anything; the key is
+		// never trusted further (see keyHeader).
+		relayKey := ""
+		if cl != nil && !routed(r) {
+			relayKey = r.Header.Get(keyHeader)
+			if cl.owner(relayKey) == cl.self {
+				if sol, ok := svc.CacheHit(relayKey); ok {
+					writeJSON(w, http.StatusOK, sol)
+					return
+				}
+			}
+		}
 		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
@@ -317,21 +348,25 @@ func newHandler(cfg handlerConfig) http.Handler {
 		if !admitSize(w, p) {
 			return
 		}
+		key := keyOf(p)
+		if relayKey != "" && relayKey != key {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("%s %q is not the problem's canonical hash", keyHeader, relayKey))
+			return
+		}
 		if cl == nil {
-			sol, err := svc.Solve(r.Context(), p)
+			sol, err := svc.SolveKeyed(r.Context(), key, p)
 			writeSolve(w, sol, err)
 			return
 		}
-		trueOwner := cl.owner(p)
-		if routed(r) && trueOwner != "" {
+		if trueOwner := cl.owner(key); routed(r) && trueOwner != "" {
 			// Route to the first live ranked replica: the true owner when
 			// it is healthy, otherwise its failover successor — skipping a
 			// known-down owner before burning a connection timeout on it.
-			if target := cl.target(p); target != "" && target != cl.self {
+			if target := cl.target(key); target != cl.self {
 				if target != trueOwner {
 					cl.rerouted.Add(1)
 				}
-				if cl.relay(w, r, target, body) {
+				if cl.relay(w, r, target, key, body) {
 					return
 				}
 				cl.fallback.Add(1)
@@ -339,7 +374,7 @@ func newHandler(cfg handlerConfig) http.Handler {
 				cl.routeCounters(target, trueOwner)
 			}
 		}
-		sol, err := cl.serveLocal(r.Context(), svc, p, trueOwner)
+		sol, err := cl.serveLocal(r.Context(), svc, key, p)
 		writeSolve(w, sol, err)
 	})
 	// The internal solution endpoints are the cluster's replication

@@ -30,12 +30,15 @@ type ServiceOptions struct {
 	// cache misses, so a restarted process re-serves previous answers
 	// (Solution.Cached set) instead of recomputing them.
 	Store Store
-	// Verify runs mwl.Verify on every solution before it is served:
-	// fresh solves fail with an ErrVerify-wrapped diagnostic when a
-	// solver misbehaves, and store entries are re-verified once on load,
-	// so a corrupted-but-parseable entry (e.g. a bit-flipped area) is
-	// recomputed and repaired instead of served. Solutions entering the
-	// in-memory LRU have passed verification, so cache hits stay cheap.
+	// Verify runs mwl.Verify on every solution this Service produces or
+	// loads itself: fresh solves fail with an ErrVerify-wrapped
+	// diagnostic when a solver misbehaves, and store entries are
+	// re-verified once on load, so a corrupted-but-parseable entry (e.g.
+	// a bit-flipped area) is recomputed and repaired instead of served.
+	// Cache hits are not re-verified. Copies inserted with Admit (cluster
+	// replication and read-through) are not verified at all: they are
+	// trusted as the peer that sent them is, so the LRU holds verified
+	// answers only when every Admit caller is trusted.
 	Verify bool
 	// OnSolved, when non-nil, is called after every fresh successful
 	// solve (cache hits, store hits and failures excluded) with the
@@ -119,18 +122,25 @@ func NewServiceWith(opts ServiceOptions) *Service {
 // Problems with an in-memory Lib override have no canonical hash and
 // are solved directly, without caching.
 func (s *Service) Solve(ctx context.Context, p Problem) (Solution, error) {
-	key, err := p.Hash()
-	if err != nil {
+	key, _ := p.Hash() // "" when p has no canonical hash
+	return s.SolveKeyed(ctx, key, p)
+}
+
+// SolveKeyed is Solve for a caller that already holds key = p.Hash(),
+// so a request hashed once at its edge is not hashed again here. An
+// empty key solves p directly, without caching. The key is trusted:
+// the solution is cached and stored under it, so a key that is not
+// p's canonical hash poisons the entry for the problem it does name.
+func (s *Service) SolveKeyed(ctx context.Context, key string, p Problem) (Solution, error) {
+	if key == "" {
 		return s.solveOne(ctx, p)
 	}
 
 	var e *memoEntry
 	for e == nil {
 		s.mu.Lock()
-		if sol, ok := s.cache.get(key); ok {
-			s.stats.Hits++
+		if sol, ok := s.hitLocked(key); ok {
 			s.mu.Unlock()
-			sol.Cached = true
 			return sol, nil
 		}
 		prior, ok := s.inflight[key]
@@ -212,6 +222,28 @@ func (s *Service) Solve(ctx context.Context, p Problem) (Solution, error) {
 	return sol, err
 }
 
+// CacheHit serves key from the in-memory LRU exactly as a Solve cache
+// hit does: it counts a hit, refreshes the entry's recency and returns
+// the solution with Cached set. A miss counts nothing, so a caller can
+// fall back to SolveKeyed, which then counts the miss once.
+func (s *Service) CacheHit(key string) (Solution, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.hitLocked(key)
+}
+
+// hitLocked is the cache-hit step of SolveKeyed and CacheHit; s.mu must
+// be held.
+func (s *Service) hitLocked(key string) (Solution, bool) {
+	sol, ok := s.cache.get(key)
+	if !ok {
+		return Solution{}, false
+	}
+	s.stats.Hits++
+	sol.Cached = true
+	return sol, true
+}
+
 // Peek returns the cached or stored solution for a problem hash without
 // running a solver or waiting on one — the serving half of cluster
 // replication read-through. It does not count as a cache hit and does
@@ -233,7 +265,10 @@ func (s *Service) Peek(key string) (Solution, bool) {
 // Admit inserts an externally computed solution under its problem hash —
 // the receiving half of cluster replication. The solution enters the
 // in-memory LRU and, when configured, the persistent store, exactly as
-// if this Service's own solver had produced it.
+// if this Service's own solver had produced it. Neither the key nor the
+// solution is checked, with or without ServiceOptions.Verify: Admit
+// trusts its caller as SolveKeyed trusts its key, so only trusted peers
+// may reach it.
 func (s *Service) Admit(key string, sol Solution) {
 	sol.Cached = false
 	size := approxSolutionSize(key, sol)

@@ -75,6 +75,51 @@ func TestServiceMemoizesIdenticalProblems(t *testing.T) {
 	}
 }
 
+// TestServiceKeyedSolveSharesTheMemo: SolveKeyed under p.Hash() and
+// Solve use one cache, and CacheHit counts a hit exactly as a Solve
+// cache hit does while a miss counts nothing.
+func TestServiceKeyedSolveSharesTheMemo(t *testing.T) {
+	svc := mwl.NewService(1)
+	g, err := mwl.GenerateRandom(mwl.RandomConfig{N: 9, Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := mwl.Problem{Method: "test-counting", Graph: g, Lambda: 40}
+	key, err := p.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := svc.CacheHit(key); ok {
+		t.Fatal("CacheHit on an empty cache")
+	}
+	if st := svc.CacheStats(); st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("a CacheHit miss moved the counters: %+v", st)
+	}
+	before := countTestSolver.calls.Load()
+	first, err := svc.SolveKeyed(context.Background(), key, p)
+	if err != nil || first.Cached {
+		t.Fatalf("keyed solve: cached=%v err=%v", first.Cached, err)
+	}
+	hit, ok := svc.CacheHit(key)
+	if !ok || !hit.Cached {
+		t.Fatalf("CacheHit after the solve: ok=%v cached=%v", ok, hit.Cached)
+	}
+	second, err := svc.Solve(context.Background(), p)
+	if err != nil || !second.Cached {
+		t.Fatalf("Solve after SolveKeyed: cached=%v err=%v", second.Cached, err)
+	}
+	if got := countTestSolver.calls.Load() - before; got != 1 {
+		t.Fatalf("solver ran %d times", got)
+	}
+	if st := svc.CacheStats(); st.Hits != 2 || st.Misses != 1 {
+		t.Fatalf("hits %d misses %d, want 2 and 1", st.Hits, st.Misses)
+	}
+	hit.Cached = false
+	if !reflect.DeepEqual(first, hit) {
+		t.Fatal("CacheHit solution differs from the solved one")
+	}
+}
+
 func TestServiceDeduplicatesInFlight(t *testing.T) {
 	svc := mwl.NewService(4)
 	g, err := mwl.GenerateRandom(mwl.RandomConfig{N: 12, Seed: 13})
