@@ -9,6 +9,7 @@ package mwl_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"testing"
 	"time"
@@ -714,4 +715,41 @@ func BenchmarkPortfolio(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(winArea)/float64(len(graphs)), "portfolio-mean-area")
+}
+
+// BenchmarkWire times the request-path wire work of one mwld solve on
+// the serve workload's problem shape (a TGFF graph of 30 operations at
+// λ = 2·λ_min): decoding the request body and hashing the problem.
+func BenchmarkWire(b *testing.B) {
+	g, err := mwl.GenerateRandom(mwl.RandomConfig{N: 30, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	lmin, err := mwl.MinLambda(g, mwl.DefaultLibrary())
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := mwl.Problem{Graph: g, Lambda: 2 * lmin}
+	body, err := json.Marshal(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("decode/N=30", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(body)))
+		for i := 0; i < b.N; i++ {
+			var q mwl.Problem
+			if err := json.Unmarshal(body, &q); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("hash/N=30", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := p.Hash(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -9,13 +9,15 @@ import (
 	mwl "repro"
 )
 
-// BenchmarkServe times one POST /v1/solve through two in-process
-// replicas on loopback, the request shape of mwlbench's serve workload
-// (a TGFF graph of 30 operations at λ = 2·λ_min):
+// BenchmarkServe times one request through two in-process replicas on
+// loopback, in the problem shape of mwlbench's serve workload (TGFF
+// graphs of 30 operations at λ = 2·λ_min):
 //
-//	hit           posted to the problem's owner, which has it cached
-//	relayed-hit   posted to the other replica, which relays to the owner
+//	hit           POST /v1/solve to the problem's owner, which has it cached
+//	relayed-hit   as hit, posted to the other replica, which relays to the owner
 //	relayed-miss  as relayed-hit, with the owner's cache cleared each time
+//	batch         POST /v1/solve/batch of 8 cached problems, each routed to its owner
+//	stream        the same 8 problems through POST /v1/solve/stream
 //
 // hashes/op counts request-path Problem.Hash calls on both replicas;
 // B/op and allocs/op cover the client and both replicas.
@@ -32,9 +34,14 @@ func BenchmarkServe(b *testing.B) {
 	p := mwl.Problem{Graph: g, Lambda: 2 * lmin}
 	body := mustJSON(b, p)
 	owner, peer := splitByOwner(b, reps, p)
+	var batch mwl.BatchRequest
+	for i := 0; i < 8; i++ {
+		batch.Problems = append(batch.Problems, mwl.Problem{Graph: g, Lambda: 2*lmin + i})
+	}
+	batchBody := mustJSON(b, batch)
 	client := &http.Client{}
-	post := func(entry *replica) {
-		resp, err := client.Post(entry.url+"/v1/solve", "application/json", bytes.NewReader(body))
+	post := func(url string, body []byte) {
+		resp, err := client.Post(url, "application/json", bytes.NewReader(body))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -46,14 +53,17 @@ func BenchmarkServe(b *testing.B) {
 	}
 	for _, c := range []struct {
 		name  string
-		entry *replica
+		url   string
+		body  []byte
 		clear bool
 	}{
-		{"hit", owner, false},
-		{"relayed-hit", peer, false},
-		{"relayed-miss", peer, true},
+		{"hit", owner.url + "/v1/solve", body, false},
+		{"relayed-hit", peer.url + "/v1/solve", body, false},
+		{"relayed-miss", peer.url + "/v1/solve", body, true},
+		{"batch", owner.url + "/v1/solve/batch", batchBody, false},
+		{"stream", owner.url + "/v1/solve/stream", batchBody, false},
 	} {
-		post(c.entry) // warm the cache and the keep-alive connections
+		post(c.url, c.body) // warm the cache and the keep-alive connections
 		b.Run(c.name, func(b *testing.B) {
 			h0 := owner.hashes.Load() + peer.hashes.Load()
 			b.ReportAllocs()
@@ -62,7 +72,7 @@ func BenchmarkServe(b *testing.B) {
 				if c.clear {
 					owner.svc.ClearCache()
 				}
-				post(c.entry)
+				post(c.url, c.body)
 			}
 			b.StopTimer()
 			h := owner.hashes.Load() + peer.hashes.Load() - h0

@@ -318,6 +318,17 @@ func newHandler(cfg handlerConfig) http.Handler {
 		}
 		writeJSON(w, http.StatusOK, sol)
 	}
+	// writeHit answers key from the cache with the response bytes the
+	// Service encoded when it cached the solution — the bytes writeSolve
+	// would write — and reports whether it did. Only keys this replica
+	// owns are answered this way; any other request keeps its routing.
+	writeHit := func(w http.ResponseWriter, key string) bool {
+		blob, ok := svc.CacheHit(key)
+		if ok {
+			writeBody(w, http.StatusOK, blob)
+		}
+		return ok
+	}
 	mux.HandleFunc("POST /v1/solve", func(w http.ResponseWriter, r *http.Request) {
 		if !cfg.adm.admit(w, r) {
 			return
@@ -328,11 +339,8 @@ func newHandler(cfg handlerConfig) http.Handler {
 		relayKey := ""
 		if cl != nil && !routed(r) {
 			relayKey = r.Header.Get(keyHeader)
-			if cl.owner(relayKey) == cl.self {
-				if sol, ok := svc.CacheHit(relayKey); ok {
-					writeJSON(w, http.StatusOK, sol)
-					return
-				}
+			if cl.owner(relayKey) == cl.self && writeHit(w, relayKey) {
+				return
 			}
 		}
 		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
@@ -354,11 +362,15 @@ func newHandler(cfg handlerConfig) http.Handler {
 			return
 		}
 		if cl == nil {
+			if writeHit(w, key) {
+				return
+			}
 			sol, err := svc.SolveKeyed(r.Context(), key, p)
 			writeSolve(w, sol, err)
 			return
 		}
-		if trueOwner := cl.owner(key); routed(r) && trueOwner != "" {
+		trueOwner := cl.owner(key)
+		if routed(r) && trueOwner != "" {
 			// Route to the first live ranked replica: the true owner when
 			// it is healthy, otherwise its failover successor — skipping a
 			// known-down owner before burning a connection timeout on it.
@@ -373,6 +385,11 @@ func newHandler(cfg handlerConfig) http.Handler {
 			} else {
 				cl.routeCounters(target, trueOwner)
 			}
+		}
+		// Answered after the routing counters, exactly where serveLocal
+		// would have counted the same hit.
+		if trueOwner == cl.self && writeHit(w, key) {
+			return
 		}
 		sol, err := cl.serveLocal(r.Context(), svc, key, p)
 		writeSolve(w, sol, err)
@@ -497,15 +514,17 @@ func decodeBody(w http.ResponseWriter, r *http.Request, maxBody int64, v any) er
 	return decodeJSON(body, v)
 }
 
-// decodeJSON decodes one already-read JSON document, rejecting trailing
-// garbage. The single-solve endpoint reads its body up front so cluster
-// mode can relay the raw bytes to the owner verbatim.
+// decodeJSON decodes one already-read JSON document, rejecting anything
+// but whitespace after it. The single-solve endpoint reads its body up
+// front so cluster mode can relay the raw bytes to the owner verbatim.
 func decodeJSON(body []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("decoding request: %w", err)
 	}
-	if dec.More() {
+	// Decoder.More reports false on a stray ']' or '}', so check the
+	// rest of the body directly.
+	if len(bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n")) != 0 {
 		return errors.New("decoding request: trailing data after JSON document")
 	}
 	return nil
@@ -619,12 +638,22 @@ func solveStatus(err error) int {
 	}
 }
 
+// writeJSON writes v as a compact, newline-terminated JSON response.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	blob, err := json.Marshal(v)
+	if err != nil {
+		// Nothing is on the wire yet, so the failure can still be a 500.
+		log.Printf("encoding %d response: %v", status, err)
+		status, blob = http.StatusInternalServerError, []byte(`{"error":"encoding the response failed"}`)
+	}
+	writeBody(w, status, append(blob, '\n'))
+}
+
+// writeBody writes an already-encoded JSON response.
+func writeBody(w http.ResponseWriter, status int, blob []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if _, err := w.Write(blob); err != nil {
 		// The status line is already on the wire; all we can do is make
 		// the failure visible instead of silently truncating the body.
 		log.Printf("writing %d response: %v", status, err)

@@ -24,7 +24,7 @@ type ServiceOptions struct {
 	// DefaultCacheEntries; negative disables the cap.
 	CacheEntries int
 	// CacheBytes caps the LRU's approximate memory footprint (JSON-
-	// encoded solution size). <= 0 disables the byte cap.
+	// encoded solution size plus key). <= 0 disables the byte cap.
 	CacheBytes int64
 	// Store, when non-nil, persists solved problems and is consulted on
 	// cache misses, so a restarted process re-serves previous answers
@@ -139,8 +139,10 @@ func (s *Service) SolveKeyed(ctx context.Context, key string, p Problem) (Soluti
 	var e *memoEntry
 	for e == nil {
 		s.mu.Lock()
-		if sol, ok := s.hitLocked(key); ok {
+		if hit, ok := s.hitLocked(key); ok {
 			s.mu.Unlock()
+			sol := hit.sol
+			sol.Cached = true
 			return sol, nil
 		}
 		prior, ok := s.inflight[key]
@@ -223,25 +225,30 @@ func (s *Service) SolveKeyed(ctx context.Context, key string, p Problem) (Soluti
 }
 
 // CacheHit serves key from the in-memory LRU exactly as a Solve cache
-// hit does: it counts a hit, refreshes the entry's recency and returns
-// the solution with Cached set. A miss counts nothing, so a caller can
-// fall back to SolveKeyed, which then counts the miss once.
-func (s *Service) CacheHit(key string) (Solution, bool) {
+// hit does — it counts a hit and refreshes the entry's recency — and
+// returns the hit's response body: the cached solution's compact JSON
+// encoding with Cached set, newline-terminated, encoded once when the
+// entry was cached. The bytes are shared and must not be modified. A
+// miss counts nothing, so a caller can fall back to SolveKeyed, which
+// then counts the miss once.
+func (s *Service) CacheHit(key string) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.hitLocked(key)
+	e, ok := s.hitLocked(key)
+	if !ok {
+		return nil, false
+	}
+	return e.hit, true
 }
 
 // hitLocked is the cache-hit step of SolveKeyed and CacheHit; s.mu must
 // be held.
-func (s *Service) hitLocked(key string) (Solution, bool) {
-	sol, ok := s.cache.get(key)
-	if !ok {
-		return Solution{}, false
+func (s *Service) hitLocked(key string) (*lruEntry, bool) {
+	e, ok := s.cache.get(key)
+	if ok {
+		s.stats.Hits++
 	}
-	s.stats.Hits++
-	sol.Cached = true
-	return sol, true
+	return e, ok
 }
 
 // Peek returns the cached or stored solution for a problem hash without
@@ -271,10 +278,11 @@ func (s *Service) Peek(key string) (Solution, bool) {
 // may reach it.
 func (s *Service) Admit(key string, sol Solution) {
 	sol.Cached = false
-	size := approxSolutionSize(key, sol)
-	s.mu.Lock()
-	s.cache.add(key, sol, size)
-	s.mu.Unlock()
+	if e, ok := newLRUEntry(key, sol); ok {
+		s.mu.Lock()
+		s.cache.add(e)
+		s.mu.Unlock()
+	}
 	if s.store != nil {
 		if err := s.store.Put(key, sol); err != nil {
 			s.mu.Lock()
@@ -294,16 +302,16 @@ func (s *Service) Queued() int { return int(s.queued.Load()) }
 // waiters are released.
 func (s *Service) finish(key string, e *memoEntry, sol Solution, err error, fromStore bool) {
 	e.sol, e.err = sol, err
-	var size int64
+	var entry *lruEntry
 	if err == nil {
-		// Sizing marshals the solution; do it before taking the lock so
-		// a large datapath cannot stall concurrent cache lookups.
-		size = approxSolutionSize(key, sol)
+		// Encode the solution before taking the lock so a large
+		// datapath cannot stall concurrent cache lookups.
+		entry, _ = newLRUEntry(key, sol)
 	}
 	s.mu.Lock()
 	delete(s.inflight, key)
-	if err == nil {
-		s.cache.add(key, sol, size)
+	if entry != nil {
+		s.cache.add(entry)
 	}
 	if fromStore {
 		s.stats.StoreHits++

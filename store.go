@@ -84,10 +84,12 @@ func (fs *FileStore) Dir() string { return fs.d.Path() }
 
 // ---- bounded LRU over completed solutions ----
 
-// lruEntry is one cached solution with its approximate memory footprint.
+// lruEntry is one cached solution with the response a cache hit
+// answers with and its approximate memory footprint.
 type lruEntry struct {
 	key  string
 	sol  Solution
+	hit  []byte // sol's compact JSON encoding with Cached set, plus '\n'
 	size int64
 }
 
@@ -114,14 +116,14 @@ func newLRUCache(maxEntries int, maxBytes int64) *lruCache {
 	}
 }
 
-// get returns the cached solution and marks it most recently used.
-func (c *lruCache) get(key string) (Solution, bool) {
+// get returns the cached entry and marks it most recently used.
+func (c *lruCache) get(key string) (*lruEntry, bool) {
 	el, ok := c.index[key]
 	if !ok {
-		return Solution{}, false
+		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*lruEntry).sol, true
+	return el.Value.(*lruEntry), true
 }
 
 // peek returns the cached solution without refreshing its recency: a
@@ -135,12 +137,13 @@ func (c *lruCache) peek(key string) (Solution, bool) {
 	return el.Value.(*lruEntry).sol, true
 }
 
-// add inserts (or refreshes) a solution of the given approximate size
-// and evicts from the cold end until both caps hold again. A solution
-// alone larger than the whole byte cap is rejected up front (counted as
-// one eviction) — admitting it would flush every warm entry before the
+// add inserts (or refreshes) an entry made by newLRUEntry and evicts
+// from the cold end until both caps hold again. An entry alone larger
+// than the whole byte cap is rejected up front (counted as one
+// eviction) — admitting it would flush every warm entry before the
 // newcomer itself went, and the persistent store still has it.
-func (c *lruCache) add(key string, sol Solution, size int64) {
+func (c *lruCache) add(ne *lruEntry) {
+	key, size := ne.key, ne.size
 	if c.maxBytes > 0 && size > c.maxBytes {
 		if el, ok := c.index[key]; ok {
 			c.ll.Remove(el)
@@ -151,12 +154,11 @@ func (c *lruCache) add(key string, sol Solution, size int64) {
 		return
 	}
 	if el, ok := c.index[key]; ok {
-		e := el.Value.(*lruEntry)
-		c.bytes += size - e.size
-		e.sol, e.size = sol, size
+		c.bytes += size - el.Value.(*lruEntry).size
+		el.Value = ne
 		c.ll.MoveToFront(el)
 	} else {
-		c.index[key] = c.ll.PushFront(&lruEntry{key: key, sol: sol, size: size})
+		c.index[key] = c.ll.PushFront(ne)
 		c.bytes += size
 	}
 	for c.over() {
@@ -192,17 +194,29 @@ func (c *lruCache) clear() {
 	c.bytes = 0
 }
 
-// approxSolutionSize estimates a cache entry's memory footprint as the
-// length of its JSON encoding plus the key — cheap, deterministic, and
-// close enough for an approximate byte cap.
-func approxSolutionSize(key string, sol Solution) int64 {
+// cachedField is what Cached=true adds to a Solution's JSON encoding.
+const cachedField = `,"cached":true`
+
+// newLRUEntry makes the cache entry for sol, encoding once the response
+// of every hit it will answer: compact JSON with Cached set, newline-
+// terminated as cmd/mwld writes its responses. The entry is charged at
+// the length of sol's own encoding plus the key — an approximation,
+// cheap and deterministic. ok=false means sol cannot be encoded, so no
+// hit could be answered from it; the built-in methods never produce
+// such a solution.
+func newLRUEntry(key string, sol Solution) (e *lruEntry, ok bool) {
+	sol.Cached = true
 	blob, err := json.Marshal(sol)
 	if err != nil {
-		// Unencodable solutions cannot occur from the built-in methods;
-		// charge a conservative flat size rather than failing the cache.
-		return 4096
+		return nil, false
 	}
-	return int64(len(blob) + len(key))
+	sol.Cached = false
+	return &lruEntry{
+		key:  key,
+		sol:  sol,
+		hit:  append(blob, '\n'),
+		size: int64(len(blob) - len(cachedField) + len(key)),
+	}, true
 }
 
 // CacheStats is a point-in-time snapshot of the Service's cache and

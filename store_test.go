@@ -5,11 +5,13 @@
 package mwl_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	mwl "repro"
@@ -445,5 +447,96 @@ func TestMetricsFoldUnknownMethods(t *testing.T) {
 	}
 	if unknown == nil || unknown.Solves != 3 || unknown.Errors != 3 {
 		t.Fatalf("unknown label = %+v, want 3 solves / 3 errors", unknown)
+	}
+}
+
+// hitBytes is the response a cache hit on sol answers with: its compact
+// encoding with Cached set, newline-terminated.
+func hitBytes(t *testing.T, sol mwl.Solution) []byte {
+	t.Helper()
+	sol.Cached = true
+	blob, err := json.Marshal(sol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(blob, '\n')
+}
+
+// chargedBytes is the cache charge of one entry: the length of the
+// solution's own encoding plus the key.
+func chargedBytes(t *testing.T, key string, sol mwl.Solution) int64 {
+	t.Helper()
+	sol.Cached = false
+	blob, err := json.Marshal(sol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int64(len(blob) + len(key))
+}
+
+// TestCacheHitBytesEncodedOnce: solved and Admitted entries both carry
+// the hit response, encoded once, and are charged at their solution's
+// encoding plus the key whatever the Cached flag they arrived with.
+func TestCacheHitBytesEncodedOnce(t *testing.T) {
+	svc := mwl.NewService(1)
+	p := probeProblem(t, "test-lru", 40)
+	key, err := p.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := svc.Solve(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit, ok := svc.CacheHit(key)
+	if !ok || !bytes.Equal(hit, hitBytes(t, sol)) {
+		t.Fatalf("solved entry: hit %v\n%s\nwant\n%s", ok, hit, hitBytes(t, sol))
+	}
+
+	admitted := mwl.Solution{Method: "test", Datapath: &mwl.Datapath{}, Area: 7, Cached: true}
+	other := strings.Repeat("ab", 32)
+	svc.Admit(other, admitted)
+	hit, ok = svc.CacheHit(other)
+	if !ok || !bytes.Equal(hit, hitBytes(t, admitted)) {
+		t.Fatalf("admitted entry: hit %v\n%s\nwant\n%s", ok, hit, hitBytes(t, admitted))
+	}
+	if got, want := svc.CacheStats().Bytes, chargedBytes(t, key, sol)+chargedBytes(t, other, admitted); got != want {
+		t.Fatalf("cache charged %d bytes, want %d", got, want)
+	}
+}
+
+// TestEvictionAndClearReleaseHitBytes: an evicted or cleared entry no
+// longer answers CacheHit, and its charge leaves the byte count.
+func TestEvictionAndClearReleaseHitBytes(t *testing.T) {
+	svc := mwl.NewServiceWith(mwl.ServiceOptions{Workers: 1, CacheEntries: 1})
+	ctx := context.Background()
+	var keys []string
+	var last mwl.Solution
+	for lambda := 40; lambda < 42; lambda++ {
+		p := probeProblem(t, "test-lru", lambda)
+		key, err := p.Hash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, key)
+		if last, err = svc.Solve(ctx, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := svc.CacheHit(keys[0]); ok {
+		t.Fatal("evicted entry still answers CacheHit")
+	}
+	if _, ok := svc.CacheHit(keys[1]); !ok {
+		t.Fatal("warm entry misses CacheHit")
+	}
+	if got, want := svc.CacheStats().Bytes, chargedBytes(t, keys[1], last); got != want {
+		t.Fatalf("after eviction the cache holds %d bytes, want %d", got, want)
+	}
+	svc.ClearCache()
+	if _, ok := svc.CacheHit(keys[1]); ok {
+		t.Fatal("cleared entry still answers CacheHit")
+	}
+	if st := svc.CacheStats(); st.Bytes != 0 || st.Entries != 0 {
+		t.Fatalf("after ClearCache: %d entries, %d bytes", st.Entries, st.Bytes)
 	}
 }
