@@ -253,11 +253,13 @@ func runCompare(args []string) (regressed bool, err error) {
 }
 
 // compareReports diffs ns/op, B/op and allocs/op for benchmarks present
-// in both reports (filtered by re, skipping baselines under the minNs
-// noise floor) and returns the over-threshold regressions plus a
-// human-readable summary. Memory units are gated only when the baseline
-// recorded them (a baseline taken without -benchmem has zeros there),
-// so adding -benchmem never fails the first gated run.
+// in both reports (filtered by re) and returns the over-threshold
+// regressions plus a human-readable summary. A row whose baseline ns/op
+// is under the minNs noise floor has its ns/op reported but not gated;
+// its B/op and allocs/op are gated all the same, since allocation
+// counts do not jitter with the clock. Memory units are gated only when
+// the baseline recorded them (a baseline taken without -benchmem has
+// zeros there), so adding -benchmem never fails the first gated run.
 func compareReports(base, cur *Report, re *regexp.Regexp, threshold, minNs float64) ([]regression, string) {
 	var names []string
 	for name := range cur.Benchmarks {
@@ -277,10 +279,6 @@ func compareReports(base, cur *Report, re *regexp.Regexp, threshold, minNs float
 		if ob.NsPerOp <= 0 {
 			continue
 		}
-		if ob.NsPerOp < minNs {
-			fmt.Fprintf(&sb, "- %-48s %14.0f ns/op baseline under the %.0f ns noise floor; not gated\n", name, ob.NsPerOp, minNs)
-			continue
-		}
 		units := []struct {
 			unit     string
 			old, new float64
@@ -288,6 +286,10 @@ func compareReports(base, cur *Report, re *regexp.Regexp, threshold, minNs float
 			{"ns/op", ob.NsPerOp, nb.NsPerOp},
 			{"B/op", ob.BytesPerOp, nb.BytesPerOp},
 			{"allocs/op", ob.AllocsPerOp, nb.AllocsPerOp},
+		}
+		if ob.NsPerOp < minNs {
+			fmt.Fprintf(&sb, "- %-48s %14.0f ns/op baseline under the %.0f ns noise floor; ns/op not gated\n", name, ob.NsPerOp, minNs)
+			units = units[1:]
 		}
 		for _, u := range units {
 			if u.old <= 0 {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"maps"
 	"regexp"
 	"strings"
 	"testing"
@@ -189,6 +190,37 @@ func TestCompareReportsNoiseFloor(t *testing.T) {
 		t.Fatalf("noise-floored benchmark gated: %+v\n%s", regs, report)
 	}
 	if !strings.Contains(report, "noise floor") {
+		t.Fatalf("report: %s", report)
+	}
+}
+
+// TestCompareReportsNoiseFloorGatesMemory: a row under the ns noise
+// floor keeps its ns/op ungated, but a B/op or allocs/op increase past
+// the threshold still fails it.
+func TestCompareReportsNoiseFloorGatesMemory(t *testing.T) {
+	base := &Report{Schema: 1, Benchmarks: map[string]Benchmark{
+		"BenchmarkLayer/sched/try/N=400":    {Iterations: 1, NsPerOp: 30_000, BytesPerOp: 1000, AllocsPerOp: 100},
+		"BenchmarkLayer/refine/queue/N=400": {Iterations: 1, NsPerOp: 30_000, BytesPerOp: 1000, AllocsPerOp: 100},
+		"BenchmarkLayer/sched/set/N=400":    {Iterations: 1, NsPerOp: 30_000, BytesPerOp: 1000, AllocsPerOp: 100},
+	}}
+	cur := &Report{Schema: 1, Benchmarks: map[string]Benchmark{
+		"BenchmarkLayer/sched/try/N=400":    {Iterations: 1, NsPerOp: 90_000, BytesPerOp: 1000, AllocsPerOp: 130}, // allocs +30 %
+		"BenchmarkLayer/refine/queue/N=400": {Iterations: 1, NsPerOp: 30_000, BytesPerOp: 1300, AllocsPerOp: 100}, // B +30 %
+		"BenchmarkLayer/sched/set/N=400":    {Iterations: 1, NsPerOp: 90_000, BytesPerOp: 1100, AllocsPerOp: 110}, // ns 3×, mem +10 %
+	}}
+	regs, report := compareReports(base, cur, regexp.MustCompile(`^BenchmarkLayer`), 25, 1_000_000)
+	got := map[string]string{}
+	for _, r := range regs {
+		got[r.Name] = r.Unit
+	}
+	want := map[string]string{
+		"BenchmarkLayer/sched/try/N=400":    "allocs/op",
+		"BenchmarkLayer/refine/queue/N=400": "B/op",
+	}
+	if len(regs) != len(want) || !maps.Equal(got, want) {
+		t.Fatalf("regressions = %+v, want %v\n%s", regs, want, report)
+	}
+	if !strings.Contains(report, "ns/op not gated") {
 		t.Fatalf("report: %s", report)
 	}
 }

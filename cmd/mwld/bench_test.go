@@ -18,6 +18,8 @@ import (
 //	relayed-miss  as relayed-hit, with the owner's cache cleared each time
 //	batch         POST /v1/solve/batch of 8 cached problems, each routed to its owner
 //	stream        the same 8 problems through POST /v1/solve/stream
+//	copy-hit      as relayed-hit, but the other replica holds an Admitted
+//	              copy (as replication leaves one) and answers from it
 //
 // hashes/op counts request-path Problem.Hash calls on both replicas;
 // B/op and allocs/op cover the client and both replicas.
@@ -32,6 +34,10 @@ func BenchmarkServe(b *testing.B) {
 		b.Fatal(err)
 	}
 	p := mwl.Problem{Graph: g, Lambda: 2 * lmin}
+	key, err := p.Hash()
+	if err != nil {
+		b.Fatal(err)
+	}
 	body := mustJSON(b, p)
 	owner, peer := splitByOwner(b, reps, p)
 	var batch mwl.BatchRequest
@@ -51,18 +57,29 @@ func BenchmarkServe(b *testing.B) {
 			b.Fatalf("status %d, %v", resp.StatusCode, err)
 		}
 	}
+	// copy-hit runs last: once the peer holds a copy, it no longer
+	// relays p.
 	for _, c := range []struct {
 		name  string
 		url   string
 		body  []byte
-		clear bool
+		clear bool // clear the owner's cache before each request
+		admit bool // Admit the owner's answer on the peer first
 	}{
-		{"hit", owner.url + "/v1/solve", body, false},
-		{"relayed-hit", peer.url + "/v1/solve", body, false},
-		{"relayed-miss", peer.url + "/v1/solve", body, true},
-		{"batch", owner.url + "/v1/solve/batch", batchBody, false},
-		{"stream", owner.url + "/v1/solve/stream", batchBody, false},
+		{"hit", owner.url + "/v1/solve", body, false, false},
+		{"relayed-hit", peer.url + "/v1/solve", body, false, false},
+		{"relayed-miss", peer.url + "/v1/solve", body, true, false},
+		{"batch", owner.url + "/v1/solve/batch", batchBody, false, false},
+		{"stream", owner.url + "/v1/solve/stream", batchBody, false, false},
+		{"copy-hit", peer.url + "/v1/solve", body, false, true},
 	} {
+		if c.admit {
+			sol, ok := owner.svc.Peek(key)
+			if !ok {
+				b.Fatal("owner holds no answer to copy")
+			}
+			peer.svc.Admit(key, sol)
+		}
 		post(c.url, c.body) // warm the cache and the keep-alive connections
 		b.Run(c.name, func(b *testing.B) {
 			h0 := owner.hashes.Load() + peer.hashes.Load()

@@ -40,10 +40,11 @@ const defaultRelayLimit = 64 << 20
 // exactly one replica — rendezvous hashing of Problem.Hash() over the
 // shared peer list — so each problem is computed (and cached, and
 // persisted) once cluster-wide. The owner solves locally; every other
-// replica proxies the solve to the first live replica in the key's rank
-// order and relays the result, falling back to a local solve (preceded
-// by a read-through of the ranked replicas' stores) when no owner is
-// reachable.
+// replica answers from its cache when it holds a copy (copyHit), and
+// otherwise proxies the solve to the first live replica in the key's
+// rank order and relays the result, falling back to a local solve
+// (preceded by a read-through of the ranked replicas' stores) when no
+// owner is reachable.
 type cluster struct {
 	ring   *shard.Ring
 	self   string
@@ -60,6 +61,7 @@ type cluster struct {
 	forwarded   atomic.Uint64 // requests proxied to their owner
 	fallback    atomic.Uint64 // owner unreachable: solved locally instead
 	rerouted    atomic.Uint64 // requests routed past a down owner without burning a timeout
+	copyHits    atomic.Uint64 // requests another replica answers, served from a copy held here
 	relayErrors atomic.Uint64 // relays that died mid-body after the status line
 	readHits    atomic.Uint64 // fallback solves served from a ranked peer's store
 	readMisses  atomic.Uint64 // fallback read-throughs that found no copy and recomputed
@@ -268,8 +270,9 @@ type keyedSolve func(ctx context.Context, key string, p mwl.Problem) (mwl.Soluti
 
 // solver returns the per-problem solve function for batch endpoints:
 // problems are answered by the first live ranked replica — locally when
-// that is us, otherwise forwarded with a read-through-then-recompute
-// fallback. SolveBatchVia bounds the fan-out either way.
+// that is us, otherwise from a copy held here or forwarded with a
+// read-through-then-recompute fallback. SolveBatchVia bounds the
+// fan-out either way.
 func (c *cluster) solver(svc *mwl.Service) keyedSolve {
 	return func(ctx context.Context, key string, p mwl.Problem) (mwl.Solution, error) {
 		trueOwner := c.owner(key)
@@ -277,6 +280,9 @@ func (c *cluster) solver(svc *mwl.Service) keyedSolve {
 		if target == "" || target == c.self {
 			c.routeCounters(target, trueOwner)
 			return c.serveLocal(ctx, svc, key, p)
+		}
+		if sol, _, ok := c.copyHit(svc, key); ok {
+			return sol, nil
 		}
 		if target != trueOwner {
 			c.rerouted.Add(1)
@@ -292,6 +298,21 @@ func (c *cluster) solver(svc *mwl.Service) keyedSolve {
 		c.fallback.Add(1)
 		return c.serveLocal(ctx, svc, key, p)
 	}
+}
+
+// copyHit answers key, which another replica answers, from this
+// replica's cache: the copy replication put there, or the answer an
+// earlier fallback solve cached. Cache entries are immutable and keyed
+// by the problem's content hash, so the copy is the answer the other
+// replica would relay — at the price of a cache lookup instead of a
+// round trip. It counts a Service cache hit and a copy hit, and none of
+// the routing counters: no routing happened.
+func (c *cluster) copyHit(svc *mwl.Service, key string) (sol mwl.Solution, hit []byte, ok bool) {
+	sol, hit, ok = svc.CacheHit(key)
+	if ok {
+		c.copyHits.Add(1)
+	}
+	return sol, hit, ok
 }
 
 // localSolver is the batch solve function for requests a peer already
@@ -440,6 +461,7 @@ func (c *cluster) writeShardMetrics(w io.Writer) {
 		{"mwld_shard_forwarded_total", "Solve requests proxied to the owning replica.", c.forwarded.Load()},
 		{"mwld_shard_fallback_total", "Solve requests answered locally because the owning replica was unreachable.", c.fallback.Load()},
 		{"mwld_shard_rerouted_total", "Solve requests routed past a down owner to the next ranked replica before burning a connection timeout.", c.rerouted.Load()},
+		{"mwld_shard_copy_hits_total", "Solve requests another replica owns, answered from a copy in this replica's cache instead of relayed.", c.copyHits.Load()},
 		{"mwld_shard_relay_errors_total", "Relays that failed after the status line was written, handing the client a truncated response.", c.relayErrors.Load()},
 		{"mwld_readthrough_hits_total", "Fallback solves served from a ranked peer's store instead of recomputing.", c.readHits.Load()},
 		{"mwld_readthrough_misses_total", "Fallback read-throughs that found no replicated copy and recomputed locally.", c.readMisses.Load()},

@@ -381,17 +381,16 @@ func TestShardMetricsExposed(t *testing.T) {
 // TestClusterOwnerDrainingFallsBack: an owner that answers 499 (it is
 // canceling work to shut down) while our client is still connected is
 // treated as unreachable — the peer solves locally instead of relaying
-// a cancellation the client never asked for.
+// a cancellation the client never asked for. The batch half posts a
+// second problem of the same owner, which falls back too, next to the
+// first, which the single solve's fallback left cached on the peer.
 func TestClusterOwnerDrainingFallsBack(t *testing.T) {
 	reps := startCluster(t, 2)
-	g := mwl.Fig1Graph()
 	lib := mwl.DefaultLibrary()
-	lmin, err := mwl.MinLambda(g, lib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := mwl.Problem{Graph: g, Lambda: lmin + 4}
-	owner, peer := splitByOwner(t, reps, p)
+	owner, peer := reps[0], reps[1]
+	pick := problemPicker(t, reps)
+	p, p2 := pick(owner), pick(owner)
+	g := p.Graph
 
 	// Replace the owner with a stub that answers every solve 499, the
 	// shape of a replica draining its in-flight work on SIGINT.
@@ -426,9 +425,10 @@ func TestClusterOwnerDrainingFallsBack(t *testing.T) {
 		t.Fatalf("fallback datapath illegal: %v", err)
 	}
 
-	// Batch path takes the same detour.
+	// Batch path takes the same detour for the uncached problem; the
+	// cached one is answered from the fallback's copy.
 	resp2, err := http.Post(peer.url+"/v1/solve/batch", "application/json",
-		bytes.NewReader(mustJSON(t, mwl.BatchRequest{Problems: []mwl.Problem{p}})))
+		bytes.NewReader(mustJSON(t, mwl.BatchRequest{Problems: []mwl.Problem{p2, p}})))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,8 +437,14 @@ func TestClusterOwnerDrainingFallsBack(t *testing.T) {
 	if err := json.NewDecoder(resp2.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Results) != 1 || out.Results[0].Solution == nil {
+	if len(out.Results) != 2 || out.Results[0].Solution == nil || out.Results[1].Solution == nil {
 		t.Fatalf("batch with draining owner: %+v", out.Results)
+	}
+	if err := out.Results[0].Solution.Datapath.Verify(g, lib, p2.Lambda); err != nil {
+		t.Fatalf("batch fallback datapath illegal: %v", err)
+	}
+	if !out.Results[1].Solution.Cached || out.Results[1].Solution.Area != sol.Area {
+		t.Fatalf("batch copy hit: %+v, want the single solve's answer, cached", out.Results[1].Solution)
 	}
 
 	if got := peer.cl.fallback.Load(); got != 2 {
@@ -446,5 +452,8 @@ func TestClusterOwnerDrainingFallsBack(t *testing.T) {
 	}
 	if got := peer.cl.forwarded.Load(); got != 0 {
 		t.Fatalf("forwarded counter = %d for relays that never served a client", got)
+	}
+	if got := peer.cl.copyHits.Load(); got != 1 {
+		t.Fatalf("copy hits = %d, want 1", got)
 	}
 }

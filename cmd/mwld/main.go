@@ -23,10 +23,11 @@
 // With -peers (and -self), mwld runs as one replica of a cluster:
 // problems are sharded by their canonical hash with rendezvous hashing,
 // the owning replica computes and persists each solution, and the other
-// replicas proxy solves to the owner and relay its answer — falling
-// back to a local solve if the owner is unreachable. The cluster is
-// self-healing: each replica probes its peers' /healthz (-health-*) and
-// routes around a down owner before burning a connection timeout;
+// replicas answer from a copy when they hold one, and otherwise proxy
+// solves to the owner and relay its answer — falling back to a local
+// solve if the owner is unreachable. The cluster is self-healing: each
+// replica probes its peers' /healthz (-health-*) and routes around a
+// down owner before burning a connection timeout;
 // solved entries are replicated asynchronously to the next ranked
 // replicas (-replicate), and a replica acting for a dead owner serves
 // the replicated copy — fetched via the internal
@@ -320,10 +321,9 @@ func newHandler(cfg handlerConfig) http.Handler {
 	}
 	// writeHit answers key from the cache with the response bytes the
 	// Service encoded when it cached the solution — the bytes writeSolve
-	// would write — and reports whether it did. Only keys this replica
-	// owns are answered this way; any other request keeps its routing.
+	// would write — and reports whether it did.
 	writeHit := func(w http.ResponseWriter, key string) bool {
-		blob, ok := svc.CacheHit(key)
+		_, blob, ok := svc.CacheHit(key)
 		if ok {
 			writeBody(w, http.StatusOK, blob)
 		}
@@ -375,6 +375,12 @@ func newHandler(cfg handlerConfig) http.Handler {
 			// it is healthy, otherwise its failover successor — skipping a
 			// known-down owner before burning a connection timeout on it.
 			if target := cl.target(key); target != cl.self {
+				// Another replica answers this key, but a copy cached here
+				// is that replica's answer; see cluster.copyHit.
+				if _, blob, ok := cl.copyHit(svc, key); ok {
+					writeBody(w, http.StatusOK, blob)
+					return
+				}
 				if target != trueOwner {
 					cl.rerouted.Add(1)
 				}

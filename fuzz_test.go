@@ -54,6 +54,11 @@ func FuzzProblemWire(f *testing.F) {
 	}))
 	f.Add([]byte(`{"graph":{"ops":[{"type":"mul","hi":8}],"deps":[]},"lambda":4}`))
 	f.Add([]byte(`{"graph":{"ops":[{"type":"add","hi":8}],"deps":[[0,0]]}}`))
+	// Empty containers and a negative zero encode as absent knobs, so
+	// options holding nothing else must drop out of the encoding.
+	f.Add([]byte(`{"graph":{"ops":[{"type":"add","hi":8}],"deps":null},"lambda":4,"options":{"limits":{}}}`))
+	f.Add([]byte(`{"method":"portfolio","graph":{"ops":[{"type":"add","hi":8}],"deps":null},"lambda":4,"options":{"portfolio":[]}}`))
+	f.Add([]byte(`{"method":"anneal","graph":{"ops":[{"type":"add","hi":8}],"deps":null},"lambda":4,"options":{"anneal_init_temp":-0}}`))
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte(`{}`))
 

@@ -2,6 +2,8 @@ package mwl_test
 
 import (
 	"encoding/json"
+	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -92,6 +94,15 @@ func TestHashGolden(t *testing.T) {
 			Options: mwl.SolveOptions{Incumbent: incumbent, NodeLimit: 50}}, "be171e858b9da1876c4ae009f36d68921627882d3a795b6fef7d2550cf602f99"},
 		{"negative-time-limit", mwl.Problem{Method: "ilp", Graph: tgff(4, 9), Lambda: 16,
 			Options: mwl.SolveOptions{TimeLimit: -1}}, "79f070c404ace148b2de33d2921ee71dace2cf39da4c67af5c670909d39848ee"},
+		// Options holding only empty containers or a negative zero are
+		// no options: each hashes as its plain problem does.
+		{"empty-limits", mwl.Problem{Graph: tgff(10, 2), Lambda: 30,
+			Options: mwl.SolveOptions{Limits: map[string]int{}}}, "a169cd5f1c0979f3f4410f50954cedf675070febfcaaf41b895bd5989512a63a"},
+		{"portfolio-default", mwl.Problem{Method: "portfolio", Graph: tgff(7, 6), Lambda: 28}, "a02b20e490890dbfccc8d246e7a7bb13616e2d11cb763cc74594ffdc2f4bdedf"},
+		{"empty-portfolio", mwl.Problem{Method: "portfolio", Graph: tgff(7, 6), Lambda: 28,
+			Options: mwl.SolveOptions{Portfolio: []string{}}}, "a02b20e490890dbfccc8d246e7a7bb13616e2d11cb763cc74594ffdc2f4bdedf"},
+		{"negative-zero-temp", mwl.Problem{Method: "anneal", Graph: tgff(9, 4), Lambda: 35,
+			Options: mwl.SolveOptions{AnnealInitTemp: math.Copysign(0, -1)}}, "65c34f5d16b1d9abc4d8f8db416ce54aa600d603f353c729b19df0158d8060cc"},
 	}
 	for _, c := range cases {
 		got, err := c.p.Hash()
@@ -102,5 +113,54 @@ func TestHashGolden(t *testing.T) {
 		if got != c.want {
 			t.Errorf("%s: hash %s, want %s", c.name, got, c.want)
 		}
+	}
+	// The same empty options sent on the wire decode to empty, non-nil
+	// containers; they must hash as the problem without them.
+	graph, err := json.Marshal(tgff(10, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []string{`{"limits":{}}`, `{"portfolio":[]}`, `{"limits":{},"portfolio":[]}`, `{}`} {
+		var p mwl.Problem
+		if err := json.Unmarshal([]byte(`{"graph":`+string(graph)+`,"lambda":30,"options":`+opts+`}`), &p); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := p.Hash(); err != nil || got != "a169cd5f1c0979f3f4410f50954cedf675070febfcaaf41b895bd5989512a63a" {
+			t.Errorf("decoded options %s: hash %s (%v), want tgff-10's", opts, got, err)
+		}
+	}
+}
+
+// TestSolveOptionsIsZeroSeesEveryField: SolveOptions.IsZero lists the
+// knobs by hand, so a knob added without it would make options holding
+// only that knob encode as none — two problems with one hash. Setting
+// any one field must make the options non-zero.
+func TestSolveOptionsIsZeroSeesEveryField(t *testing.T) {
+	typ := reflect.TypeOf(mwl.SolveOptions{})
+	for i := 0; i < typ.NumField(); i++ {
+		var o mwl.SolveOptions
+		f := reflect.ValueOf(&o).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(1)
+		case reflect.Float64:
+			f.SetFloat(0.5)
+		case reflect.Map:
+			m := reflect.MakeMap(f.Type())
+			m.SetMapIndex(reflect.New(f.Type().Key()).Elem(), reflect.New(f.Type().Elem()).Elem())
+			f.Set(m)
+		case reflect.Slice:
+			f.Set(reflect.MakeSlice(f.Type(), 1, 1))
+		case reflect.Pointer:
+			f.Set(reflect.New(f.Type().Elem()))
+		default:
+			t.Fatalf("field %s: kind %s not covered by this test", typ.Field(i).Name, f.Kind())
+		}
+		if o.IsZero() {
+			t.Errorf("options with only %s set report IsZero", typ.Field(i).Name)
+		}
+	}
+	if !(mwl.SolveOptions{}).IsZero() {
+		t.Error("zero options report non-zero")
 	}
 }

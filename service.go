@@ -226,19 +226,22 @@ func (s *Service) SolveKeyed(ctx context.Context, key string, p Problem) (Soluti
 
 // CacheHit serves key from the in-memory LRU exactly as a Solve cache
 // hit does — it counts a hit and refreshes the entry's recency — and
-// returns the hit's response body: the cached solution's compact JSON
+// returns the hit twice over: the solution with Cached set, as Solve
+// would return it, and the response body, the solution's compact JSON
 // encoding with Cached set, newline-terminated, encoded once when the
-// entry was cached. The bytes are shared and must not be modified. A
-// miss counts nothing, so a caller can fall back to SolveKeyed, which
-// then counts the miss once.
-func (s *Service) CacheHit(key string) ([]byte, bool) {
+// entry was cached. Both share the cached entry and must not be
+// modified. A miss counts nothing, so a caller can fall back to
+// SolveKeyed, which then counts the miss once.
+func (s *Service) CacheHit(key string) (sol Solution, hit []byte, ok bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	e, ok := s.hitLocked(key)
+	s.mu.Unlock()
 	if !ok {
-		return nil, false
+		return Solution{}, nil, false
 	}
-	return e.hit, true
+	sol = e.sol
+	sol.Cached = true
+	return sol, e.hit, true
 }
 
 // hitLocked is the cache-hit step of SolveKeyed and CacheHit; s.mu must

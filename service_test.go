@@ -79,7 +79,8 @@ func TestServiceMemoizesIdenticalProblems(t *testing.T) {
 
 // TestServiceKeyedSolveSharesTheMemo: SolveKeyed under p.Hash() and
 // Solve use one cache, and CacheHit counts a hit exactly as a Solve
-// cache hit does while a miss counts nothing.
+// cache hit does, and answers with the same solution, while a miss
+// counts nothing.
 func TestServiceKeyedSolveSharesTheMemo(t *testing.T) {
 	svc := mwl.NewService(1)
 	g, err := mwl.GenerateRandom(mwl.RandomConfig{N: 9, Seed: 6})
@@ -91,7 +92,7 @@ func TestServiceKeyedSolveSharesTheMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := svc.CacheHit(key); ok {
+	if _, _, ok := svc.CacheHit(key); ok {
 		t.Fatal("CacheHit on an empty cache")
 	}
 	if st := svc.CacheStats(); st.Hits != 0 || st.Misses != 0 {
@@ -102,7 +103,7 @@ func TestServiceKeyedSolveSharesTheMemo(t *testing.T) {
 	if err != nil || first.Cached {
 		t.Fatalf("keyed solve: cached=%v err=%v", first.Cached, err)
 	}
-	hit, ok := svc.CacheHit(key)
+	hitSol, hit, ok := svc.CacheHit(key)
 	if !ok {
 		t.Fatal("CacheHit after the solve missed")
 	}
@@ -125,6 +126,10 @@ func TestServiceKeyedSolveSharesTheMemo(t *testing.T) {
 	}
 	if want = append(want, '\n'); !bytes.Equal(hit, want) {
 		t.Fatalf("CacheHit bytes\n%s\nwant\n%s", hit, want)
+	}
+	// ... and hands back the solution Solve's own hit returns.
+	if !reflect.DeepEqual(hitSol, second) {
+		t.Fatalf("CacheHit solution %+v, want Solve's hit %+v", hitSol, second)
 	}
 	second.Cached = false
 	if !reflect.DeepEqual(first, second) {

@@ -85,6 +85,21 @@ type SolveOptions struct {
 	Portfolio []string `json:"portfolio,omitempty"`
 }
 
+// IsZero reports whether every knob is at its default, so that the
+// options encode as an empty object. An empty Limits map or Portfolio
+// list counts as absent, exactly as their omitempty tags already treat
+// them. Problem's omitzero tag consults this method, so such options
+// drop out of the wire form and out of Problem.Hash. Without it
+// `"options":{"limits":{}}` would encode as `"options":{}`, which
+// decodes to zero options: one problem with two hashes, and a relayed
+// problem refused by its owner for carrying a key that is not its
+// canonical hash.
+func (o SolveOptions) IsZero() bool {
+	return o.TimeLimit == 0 && o.NodeLimit == 0 && len(o.Limits) == 0 &&
+		o.Incumbent == nil && o.Seed == 0 && o.AnnealMoves == 0 &&
+		o.AnnealInitTemp == 0 && o.AnnealCooling == 0 && len(o.Portfolio) == 0
+}
+
 // Solution is the uniform result of a Solve: the datapath plus its
 // headline numbers, an area breakdown, method statistics and timing.
 type Solution struct {

@@ -400,7 +400,10 @@ func TestOversizedSolutionDoesNotFlushCache(t *testing.T) {
 	if bigBytes <= 2*smallBytes {
 		t.Fatalf("test setup: big solution (%d B) not larger than two small ones (%d B each)", bigBytes, smallBytes)
 	}
-	svc := mwl.NewServiceWith(mwl.ServiceOptions{Workers: 2, CacheBytes: bigBytes - 1})
+	// A solution's charge includes its elapsed_ns digits, so the same
+	// problem is charged a byte more or less from one solve to the next:
+	// put the cap midway between the two small entries and the big one.
+	svc := mwl.NewServiceWith(mwl.ServiceOptions{Workers: 2, CacheBytes: (2*smallBytes + bigBytes) / 2})
 	ctx := context.Background()
 	for _, p := range []mwl.Problem{smallA, smallB} {
 		if _, err := svc.Solve(ctx, p); err != nil {
@@ -488,7 +491,7 @@ func TestCacheHitBytesEncodedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hit, ok := svc.CacheHit(key)
+	_, hit, ok := svc.CacheHit(key)
 	if !ok || !bytes.Equal(hit, hitBytes(t, sol)) {
 		t.Fatalf("solved entry: hit %v\n%s\nwant\n%s", ok, hit, hitBytes(t, sol))
 	}
@@ -496,7 +499,7 @@ func TestCacheHitBytesEncodedOnce(t *testing.T) {
 	admitted := mwl.Solution{Method: "test", Datapath: &mwl.Datapath{}, Area: 7, Cached: true}
 	other := strings.Repeat("ab", 32)
 	svc.Admit(other, admitted)
-	hit, ok = svc.CacheHit(other)
+	_, hit, ok = svc.CacheHit(other)
 	if !ok || !bytes.Equal(hit, hitBytes(t, admitted)) {
 		t.Fatalf("admitted entry: hit %v\n%s\nwant\n%s", ok, hit, hitBytes(t, admitted))
 	}
@@ -523,17 +526,17 @@ func TestEvictionAndClearReleaseHitBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, ok := svc.CacheHit(keys[0]); ok {
+	if _, _, ok := svc.CacheHit(keys[0]); ok {
 		t.Fatal("evicted entry still answers CacheHit")
 	}
-	if _, ok := svc.CacheHit(keys[1]); !ok {
+	if _, _, ok := svc.CacheHit(keys[1]); !ok {
 		t.Fatal("warm entry misses CacheHit")
 	}
 	if got, want := svc.CacheStats().Bytes, chargedBytes(t, keys[1], last); got != want {
 		t.Fatalf("after eviction the cache holds %d bytes, want %d", got, want)
 	}
 	svc.ClearCache()
-	if _, ok := svc.CacheHit(keys[1]); ok {
+	if _, _, ok := svc.CacheHit(keys[1]); ok {
 		t.Fatal("cleared entry still answers CacheHit")
 	}
 	if st := svc.CacheStats(); st.Bytes != 0 || st.Entries != 0 {
