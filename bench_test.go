@@ -222,7 +222,7 @@ func BenchmarkAblationGrowth(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					bd, err := bind.SelectOpt(w, r.Start, bind.Options{DisableGrowth: disable})
+					bd, _, err := bind.SelectStats(w, r.Start, bind.Options{DisableGrowth: disable})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -623,7 +623,7 @@ func deadlockFixture(b *testing.B, n int) (*wcg.Graph, sched.Limits, int) {
 			}
 			continue
 		}
-		bd, err := bind.Select(g, r.Start)
+		bd, _, err := bind.SelectStats(g, r.Start, bind.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -16,7 +16,8 @@ import (
 //	hit           POST /v1/solve to the problem's owner, which has it cached
 //	relayed-hit   as hit, posted to the other replica, which relays to the owner
 //	relayed-miss  as relayed-hit, with the owner's cache cleared each time
-//	batch         POST /v1/solve/batch of 8 cached problems, each routed to its owner
+//	batch         POST /v1/solve/batch of 8 cached problems, 4 owned by each
+//	              replica, each routed to its owner
 //	stream        the same 8 problems through POST /v1/solve/stream
 //	copy-hit      as relayed-hit, but the other replica holds an Admitted
 //	              copy (as replication leaves one) and answers from it
@@ -40,9 +41,17 @@ func BenchmarkServe(b *testing.B) {
 	}
 	body := mustJSON(b, p)
 	owner, peer := splitByOwner(b, reps, p)
+	// The batch holds 4 problems of each replica, chosen by owner so that
+	// the split, and with it the rows' allocations, does not move with
+	// the listeners' ports.
 	var batch mwl.BatchRequest
-	for i := 0; i < 8; i++ {
-		batch.Problems = append(batch.Problems, mwl.Problem{Graph: g, Lambda: 2*lmin + i})
+	perOwner := map[*replica]int{}
+	for lambda := 2 * lmin; len(batch.Problems) < 8; lambda++ {
+		q := mwl.Problem{Graph: g, Lambda: lambda}
+		if o, _ := splitByOwner(b, reps, q); perOwner[o] < 4 {
+			perOwner[o]++
+			batch.Problems = append(batch.Problems, q)
+		}
 	}
 	batchBody := mustJSON(b, batch)
 	client := &http.Client{}

@@ -281,7 +281,7 @@ func (c *cluster) solver(svc *mwl.Service) keyedSolve {
 			c.routeCounters(target, trueOwner)
 			return c.serveLocal(ctx, svc, key, p)
 		}
-		if sol, _, ok := c.copyHit(svc, key); ok {
+		if sol, _, ok := c.copyHit(svc, key, p); ok {
 			return sol, nil
 		}
 		if target != trueOwner {
@@ -306,9 +306,11 @@ func (c *cluster) solver(svc *mwl.Service) keyedSolve {
 // by the problem's content hash, so the copy is the answer the other
 // replica would relay — at the price of a cache lookup instead of a
 // round trip. It counts a Service cache hit and a copy hit, and none of
-// the routing counters: no routing happened.
-func (c *cluster) copyHit(svc *mwl.Service, key string) (sol mwl.Solution, hit []byte, ok bool) {
-	sol, hit, ok = svc.CacheHit(key)
+// the routing counters: no routing happened. Under -verify a copy is
+// verified against p on its first hit (Service.CopyHit), and one that
+// fails misses.
+func (c *cluster) copyHit(svc *mwl.Service, key string, p mwl.Problem) (sol mwl.Solution, hit []byte, ok bool) {
+	sol, hit, ok = svc.CopyHit(key, p)
 	if ok {
 		c.copyHits.Add(1)
 	}

@@ -28,6 +28,13 @@ type replica struct {
 // one peer list, mirroring `mwld -peers ... -self ...`.
 func startCluster(t testing.TB, n int) []*replica {
 	t.Helper()
+	return startClusterWith(t, n, mwl.ServiceOptions{Workers: 2})
+}
+
+// startClusterWith is startCluster with each replica's Service built
+// from opts.
+func startClusterWith(t testing.TB, n int, opts mwl.ServiceOptions) []*replica {
+	t.Helper()
 	lns := make([]net.Listener, n)
 	urls := make([]string, n)
 	for i := range lns {
@@ -51,7 +58,7 @@ func startCluster(t testing.TB, n int) []*replica {
 		if err != nil {
 			t.Fatal(err)
 		}
-		svc := mwl.NewService(2)
+		svc := mwl.NewServiceWith(opts)
 		hashes := new(atomic.Uint64)
 		srv := httptest.NewUnstartedServer(newHandler(handlerConfig{svc: svc, maxBody: 1 << 20, batchMax: 64, cluster: cl, hashes: hashes}))
 		srv.Listener.Close()

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"strings"
 	"testing"
 
 	mwl "repro"
@@ -253,4 +254,120 @@ func TestEmptyOptionsRelayToOwner(t *testing.T) {
 	if got := owner.svc.CacheStats().Misses; got != 2 {
 		t.Fatalf("owner solved %d problems, want 2", got)
 	}
+}
+
+// TestCopyHitVerifiedUnderVerify: under -verify, a copy Admitted with
+// one wrong operand width is refused on its first copy hit — dropped
+// and counted as a verify failure — and the request relays to the
+// owner, on the single, batch and stream paths. A sound copy passes
+// Verify once and is then served as a copy hit.
+func TestCopyHitVerifiedUnderVerify(t *testing.T) {
+	reps := startClusterWith(t, 2, mwl.ServiceOptions{Workers: 2, Verify: true})
+	owner, peer, pick := reps[0], reps[1], problemPicker(t, reps)
+	// badCopy solves a fresh problem on its owner and Admits on peer a
+	// copy whose first instance is one bit narrower than the owner's.
+	badCopy := func() mwl.Problem {
+		t.Helper()
+		p := pick(owner)
+		key := solveWithCopy(t, owner, peer, p)
+		good, _ := owner.svc.Peek(key)
+		var bad mwl.Solution
+		if err := json.Unmarshal(mustJSON(t, good), &bad); err != nil {
+			t.Fatal(err)
+		}
+		sig := &bad.Datapath.Instances[0].Kind.Sig
+		sig.Hi--
+		sig.Lo = min(sig.Lo, sig.Hi)
+		if mwl.Verify(p, bad) == nil {
+			t.Fatal("the narrowed copy still verifies")
+		}
+		peer.svc.Admit(key, bad)
+		return p
+	}
+	// wantRefused checks that n bad copies were refused and relayed: no
+	// copy hit, n more forwards and verify failures, and the copies gone.
+	wantRefused := func(path string, before counts, failures uint64, n int) {
+		t.Helper()
+		after := snapshot(owner, peer)
+		if after.copyHits != before.copyHits || after.forwarded != before.forwarded+uint64(n) {
+			t.Fatalf("%s: copy hits %d → %d, forwarded %d → %d; want no copy hit and %d relays",
+				path, before.copyHits, after.copyHits, before.forwarded, after.forwarded, n)
+		}
+		if got := peer.svc.CacheStats().VerifyFailures; got != failures+uint64(n) {
+			t.Fatalf("%s: verify failures %d, want %d", path, got, failures+uint64(n))
+		}
+		if got := peer.svc.CacheStats().Entries; got != 0 {
+			t.Fatalf("%s: peer still caches %d entries", path, got)
+		}
+	}
+	p := badCopy()
+	before := snapshot(owner, peer)
+	resp, sol := postProblem(t, peer.url, p)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("single: status %d", resp.StatusCode)
+	}
+	if err := mwl.Verify(p, sol); err != nil {
+		t.Fatalf("single: served %v", err)
+	}
+	wantRefused("single", before, 0, 1)
+
+	for _, path := range []string{"batch", "stream"} {
+		problems := []mwl.Problem{badCopy(), badCopy()}
+		failures := peer.svc.CacheStats().VerifyFailures
+		before := snapshot(owner, peer)
+		for i, sol := range postProblems(t, peer.url+"/v1/solve/"+path, problems) {
+			if sol == nil {
+				t.Fatalf("%s: result %d has no solution", path, i)
+			}
+			if err := mwl.Verify(problems[i], *sol); err != nil {
+				t.Fatalf("%s: result %d served %v", path, i, err)
+			}
+		}
+		wantRefused(path, before, failures, len(problems))
+	}
+
+	q := pick(owner)
+	key := solveWithCopy(t, owner, peer, q)
+	failures := peer.svc.CacheStats().VerifyFailures
+	for i := 1; i <= 2; i++ {
+		before := snapshot(owner, peer)
+		postRaw(t, peer.url, mustJSON(t, q))
+		wantCopyHits(t, owner, peer, before, 1)
+	}
+	if got := peer.svc.CacheStats().VerifyFailures; got != failures {
+		t.Fatalf("a sound copy failed Verify: %d failures, want %d", got, failures)
+	}
+	if _, ok := peer.svc.Peek(key); !ok {
+		t.Fatal("the sound copy was dropped")
+	}
+}
+
+// postProblems posts problems to a batch or stream endpoint and returns
+// the solutions by problem index.
+func postProblems(t *testing.T, url string, problems []mwl.Problem) []*mwl.Solution {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", bytes.NewReader(mustJSON(t, mwl.BatchRequest{Problems: problems})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out := make([]*mwl.Solution, len(problems))
+	if strings.HasSuffix(url, "/stream") {
+		for sc := bufio.NewScanner(resp.Body); sc.Scan(); {
+			var rec mwl.StreamResultWire
+			if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+				t.Fatal(err)
+			}
+			out[rec.Index] = rec.Solution
+		}
+		return out
+	}
+	var br mwl.BatchResponse
+	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range br.Results {
+		out[i] = r.Solution
+	}
+	return out
 }

@@ -377,7 +377,7 @@ func newHandler(cfg handlerConfig) http.Handler {
 			if target := cl.target(key); target != cl.self {
 				// Another replica answers this key, but a copy cached here
 				// is that replica's answer; see cluster.copyHit.
-				if _, blob, ok := cl.copyHit(svc, key); ok {
+				if _, blob, ok := cl.copyHit(svc, key, p); ok {
 					writeBody(w, http.StatusOK, blob)
 					return
 				}

@@ -10,7 +10,6 @@ import (
 
 	mwl "repro"
 	"repro/internal/core"
-	"repro/internal/descend"
 	"repro/internal/exact"
 	"repro/internal/expt"
 	"repro/internal/ilp"
@@ -46,7 +45,7 @@ func TestAllMethodsLegalOnRandomGraphs(t *testing.T) {
 				if err := ts.Verify(g, lib, lambda); err != nil {
 					t.Fatalf("n=%d g=%d twostage illegal: %v", n, gi, err)
 				}
-				de, err := descend.Allocate(g, lib, lambda)
+				de, err := twostage.Descend(context.Background(), g, lib, lambda)
 				if err != nil {
 					t.Fatalf("n=%d g=%d descend: %v", n, gi, err)
 				}

@@ -77,21 +77,6 @@ type Stats struct {
 	Evals int
 }
 
-// Select runs Algorithm BindSelect on a scheduled compatibility graph.
-// start gives the scheduled start step per operation; reserved intervals
-// are [start[o], start[o]+L_o) with L_o the current latency upper bound,
-// so the derived binding can never violate the schedule.
-func Select(g *wcg.Graph, start []int) (*Binding, error) {
-	b, _, err := SelectStats(g, start, Options{})
-	return b, err
-}
-
-// SelectOpt is Select with explicit options.
-func SelectOpt(g *wcg.Graph, start []int, opt Options) (*Binding, error) {
-	b, _, err := SelectStats(g, start, opt)
-	return b, err
-}
-
 // kindEntry is a lazily maintained candidate in the greedy selection: the
 // last known maximum-clique size for a kind. Sizes only shrink as
 // operations get covered, so a cached size is an upper bound and the
@@ -117,7 +102,11 @@ func betterEntry(a, b kindEntry) bool {
 	return a.ki < b.ki
 }
 
-// SelectStats is SelectOpt, additionally reporting effort counters.
+// SelectStats runs Algorithm BindSelect on a scheduled compatibility
+// graph and reports its effort counters. start gives the scheduled start
+// step per operation; reserved intervals are [start[o], start[o]+L_o)
+// with L_o the current latency upper bound, so the derived binding can
+// never violate the schedule.
 func SelectStats(g *wcg.Graph, start []int, opt Options) (*Binding, Stats, error) {
 	return new(Scratch).SelectStats(g, start, opt)
 }

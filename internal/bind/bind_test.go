@@ -75,7 +75,7 @@ func TestSelectChainShares(t *testing.T) {
 	}
 	g := build(t, d)
 	start := asap(t, g)
-	b, err := Select(g, start)
+	b, err := bindOpt(g, start, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestSelectParallelSplits(t *testing.T) {
 	d.AddOp("", model.Mul, model.Sig(8, 8))
 	g := build(t, d)
 	start := asap(t, g)
-	b, err := Select(g, start)
+	b, err := bindOpt(g, start, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestSelectMixedWordlengthSharing(t *testing.T) {
 	d.AddDep(a, b0)
 	g := build(t, d)
 	start := asap(t, g)
-	b, err := Select(g, start)
+	b, err := bindOpt(g, start, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestShrinkSelectsCheapestKind(t *testing.T) {
 	big := d.AddOp("", model.Mul, model.Sig(16, 16))
 	g := build(t, d)
 	start := asap(t, g)
-	b, err := Select(g, start)
+	b, err := bindOpt(g, start, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,12 +163,12 @@ func TestGrowthMergesCliques(t *testing.T) {
 		d := randomDAG(rnd, 2+rnd.Intn(14))
 		g := build(t, d)
 		start := asap(t, g)
-		withG, err := SelectOpt(g, start, Options{})
+		withG, err := bindOpt(g, start, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkBinding(t, g, start, withG)
-		noG, err := SelectOpt(g, start, Options{DisableGrowth: true})
+		noG, err := bindOpt(g, start, Options{DisableGrowth: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +189,7 @@ func TestAreaNeverExceedsDedicated(t *testing.T) {
 		d := randomDAG(rnd, 1+rnd.Intn(16))
 		g := build(t, d)
 		start := asap(t, g)
-		b, err := Select(g, start)
+		b, err := bindOpt(g, start, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +208,7 @@ func TestSelectBadInput(t *testing.T) {
 	d := dfg.New()
 	d.AddOp("", model.Add, model.AddSig(8))
 	g := build(t, d)
-	if _, err := Select(g, []int{0, 1}); err == nil {
+	if _, err := bindOpt(g, []int{0, 1}, Options{}); err == nil {
 		t.Error("mismatched start slice accepted")
 	}
 }
@@ -247,4 +247,10 @@ func randomDAG(rnd *rand.Rand, n int) *dfg.Graph {
 		}
 	}
 	return g
+}
+
+// bindOpt is SelectStats without its effort counters.
+func bindOpt(g *wcg.Graph, start []int, opt Options) (*Binding, error) {
+	b, _, err := SelectStats(g, start, opt)
+	return b, err
 }

@@ -22,7 +22,10 @@
 // class blocking feasibility is incremented until the inner loop
 // succeeds. The first feasible configuration has the fewest resources
 // and hence maximal sharing; the binder's cost-effectiveness rule
-// declines merges that would not pay for themselves.
+// declines merges that would not pay for themselves. Search exposes
+// that search over any ladder: the two-stage baselines and the pipelined
+// allocator run on it too, so blame is the one rule for which class
+// grows.
 package core
 
 import (
@@ -54,7 +57,7 @@ type Options struct {
 	// paper's N_y input). Nil enables the automatic minimal-resource
 	// search described in the package comment.
 	Limits sched.Limits
-	// DisableGrowth, DisableShrink pass through to bind.SelectOpt
+	// DisableGrowth, DisableShrink pass through to bind.SelectStats
 	// (ablation).
 	DisableGrowth bool
 	DisableShrink bool
@@ -121,19 +124,37 @@ func AllocateCtx(ctx context.Context, d *dfg.Graph, lib *model.Library, lambda i
 		dp, err := allocateFixed(ctx, d, lib, lambda, opt, opt.Limits, &stats)
 		return dp, stats, err
 	}
-	s := newSearch(d, lib, lambda, opt)
+	s := newDPSearch(d, lib, lambda, opt)
 	if workers := runtime.GOMAXPROCS(0); d.N() >= BatchMinOps && workers > 1 {
 		return s.speculative(ctx, workers, nil)
 	}
 	return s.sequential(ctx)
 }
 
-// search is the automatic minimal-resource search of one solve.
+// Ladder runs the ladder of one resource-bound configuration. An error
+// wrapping ErrInfeasible tells Search that the configuration failed and
+// which class to blame: a *sched.InfeasibleError in its chain names the
+// operation the scheduler could not place.
+type Ladder[T any] func(ctx context.Context, limits sched.Limits) (T, error)
+
+// Search is the automatic minimal-resource search of the package
+// comment, for any method whose configurations are tried by a ladder:
+// every hardware class starts at its utilisation lower bound
+// ⌈Σ_o ℓ_min(o) / period⌉, and after each configuration whose ladder
+// fails with ErrInfeasible the class blame picks grows, until a ladder
+// succeeds. period is the number of busy cycles one resource offers: λ
+// for a single iteration. It returns the first successful ladder's
+// result and the number of configurations tried; when no class can
+// grow, the last ladder's error. ctx is polled before each ladder.
+func Search[T any](ctx context.Context, d *dfg.Graph, lib *model.Library, period int, ladder Ladder[T]) (T, int, error) {
+	return run(ctx, newSearch(d, lib, period), ladder)
+}
+
+// search holds what the resource-bound search of one solve derives from
+// its graph.
 type search struct {
 	d      *dfg.Graph
-	lib    *model.Library
-	lambda int
-	opt    Options
+	period int
 	// count and busy are per hardware class: the number of operations
 	// and Σ ℓ_min, the inputs of blame.
 	count, busy map[model.OpType]int
@@ -142,9 +163,9 @@ type search struct {
 	first sched.Limits
 }
 
-func newSearch(d *dfg.Graph, lib *model.Library, lambda int, opt Options) *search {
+func newSearch(d *dfg.Graph, lib *model.Library, period int) *search {
 	s := &search{
-		d: d, lib: lib, lambda: lambda, opt: opt,
+		d: d, period: period,
 		count: make(map[model.OpType]int),
 		busy:  make(map[model.OpType]int),
 	}
@@ -156,8 +177,8 @@ func newSearch(d *dfg.Graph, lib *model.Library, lambda int, opt Options) *searc
 	s.first = make(sched.Limits, len(s.count))
 	for y, b := range s.busy {
 		n := 1
-		if lambda > 0 {
-			n = (b + lambda - 1) / lambda
+		if period > 0 {
+			n = (b + period - 1) / period
 		}
 		s.first[y] = min(max(n, 1), s.count[y])
 	}
@@ -168,7 +189,7 @@ func newSearch(d *dfg.Graph, lib *model.Library, lambda int, opt Options) *searc
 // an ErrInfeasible, or false when no class can grow. limits is not
 // modified.
 func (s *search) next(err error, limits sched.Limits) (sched.Limits, bool) {
-	y, need, ok := blame(err, s.d, s.lib, limits, s.count, s.busy, s.lambda)
+	y, need, ok := blame(err, s.d, limits, s.count, s.busy, s.period)
 	if !ok {
 		return nil, false
 	}
@@ -184,43 +205,68 @@ func (s *search) next(err error, limits sched.Limits) (sched.Limits, bool) {
 	return nx, true
 }
 
+// run tries one configuration at a time, growing the blamed class after
+// each failure until one succeeds; see Search.
+func run[T any](ctx context.Context, s *search, ladder Ladder[T]) (T, int, error) {
+	var zero T
+	limits := s.first
+	for configs := 1; ; configs++ {
+		if err := ctx.Err(); err != nil {
+			return zero, configs - 1, err
+		}
+		r, err := ladder(ctx, limits)
+		if err == nil {
+			return r, configs, nil
+		}
+		if !errors.Is(err, ErrInfeasible) {
+			return zero, configs, err
+		}
+		var ok bool
+		if limits, ok = s.next(err, limits); !ok {
+			return zero, configs, err
+		}
+	}
+}
+
+// dpSearch is the automatic search of one DPAlloc solve.
+type dpSearch struct {
+	*search
+	lib    *model.Library
+	lambda int
+	opt    Options
+}
+
+func newDPSearch(d *dfg.Graph, lib *model.Library, lambda int, opt Options) *dpSearch {
+	return &dpSearch{search: newSearch(d, lib, lambda), lib: lib, lambda: lambda, opt: opt}
+}
+
 // exhausted is the error of a search that ran out of classes to grow.
-func (s *search) exhausted() error {
+func (s *dpSearch) exhausted() error {
 	return fmt.Errorf("%w: λ=%d (λ_min may exceed it)", ErrInfeasible, s.lambda)
 }
 
-// sequential tries one configuration at a time, growing the blamed class
-// after each failure until one succeeds. Each ladder refines its own
-// clone of one compatibility graph.
-func (s *search) sequential(ctx context.Context) (*datapath.Datapath, Stats, error) {
+// sequential is Search over DPAlloc's ladder. Each ladder refines its
+// own clone of one compatibility graph.
+func (s *dpSearch) sequential(ctx context.Context) (*datapath.Datapath, Stats, error) {
 	var stats Stats
 	base, err := s.base()
 	if err != nil {
 		return nil, stats, err
 	}
-	limits := s.first
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, stats, err
-		}
-		stats.Configs++
-		dp, err := runLadder(ctx, base.Clone(), s.lambda, s.opt, limits, &stats)
-		if err == nil {
-			return dp, stats, nil
-		}
-		if !errors.Is(err, ErrInfeasible) {
-			return nil, stats, err
-		}
-		var ok bool
-		if limits, ok = s.next(err, limits); !ok {
-			return nil, stats, s.exhausted()
-		}
+	dp, configs, err := run(ctx, s.search, func(ctx context.Context, limits sched.Limits) (*datapath.Datapath, error) {
+		return runLadder(ctx, base.Clone(), s.lambda, s.opt, limits, &stats)
+	})
+	stats.Configs = configs
+	if errors.Is(err, ErrInfeasible) {
+		// run ends on an infeasible ladder only when no class can grow.
+		err = s.exhausted()
 	}
+	return dp, stats, err
 }
 
 // base builds the compatibility graph every ladder of the search starts
 // from, with its topological order memoized so that clones share it.
-func (s *search) base() (*wcg.Graph, error) {
+func (s *dpSearch) base() (*wcg.Graph, error) {
 	g, err := buildWCG(s.d, s.lib, s.opt)
 	if err != nil {
 		return nil, err
@@ -253,7 +299,7 @@ func (s *search) base() (*wcg.Graph, error) {
 //
 // skew, when non-nil, rewrites every predicted configuration; tests use
 // it to force mispredictions.
-func (s *search) speculative(ctx context.Context, workers int, skew func(sched.Limits)) (*datapath.Datapath, Stats, error) {
+func (s *dpSearch) speculative(ctx context.Context, workers int, skew func(sched.Limits)) (*datapath.Datapath, Stats, error) {
 	var stats Stats
 	base, err := s.base()
 	if err != nil {
@@ -340,7 +386,7 @@ func (s *search) speculative(ctx context.Context, workers int, skew func(sched.L
 // predictor forecasts the automatic search's chain of configurations on
 // the refinement fixpoint G_min.
 type predictor struct {
-	s     *search
+	s     *dpSearch
 	g     *wcg.Graph // G_min, owned by the predictor
 	sched sched.Scratch
 	bind  bind.Scratch
@@ -365,13 +411,14 @@ func (p *predictor) next(limits sched.Limits) (sched.Limits, bool) {
 }
 
 // blame picks the hardware class whose resource bound should grow after
-// an infeasible configuration: the class of the operation the scheduler
-// could not place if available, otherwise the class with the highest
-// utilisation pressure Σℓ_min/(N_y·λ). Classes already at one resource
-// per operation cannot grow. The second result is the scheduler's
-// reported resource deficit for the blamed class (1 when unknown).
-// Returns false when no class can grow.
-func blame(err error, d *dfg.Graph, lib *model.Library, limits sched.Limits, count, busy map[model.OpType]int, lambda int) (model.OpType, int, bool) {
+// an infeasible configuration, for every method that runs on Search: the
+// class of the operation the scheduler could not place if available,
+// otherwise the class with the highest utilisation pressure
+// Σℓ_min/(N_y·period), then the most operations. Classes already at one
+// resource per operation cannot grow. The second result is the
+// scheduler's reported resource deficit for the blamed class (1 when
+// unknown). Returns false when no class can grow.
+func blame(err error, d *dfg.Graph, limits sched.Limits, count, busy map[model.OpType]int, period int) (model.OpType, int, bool) {
 	var se *sched.InfeasibleError
 	if errors.As(err, &se) {
 		y := d.Op(se.Op).Spec.Type.HardwareClass()
@@ -380,12 +427,12 @@ func blame(err error, d *dfg.Graph, lib *model.Library, limits sched.Limits, cou
 		}
 	}
 	bestY, found := model.Add, false
-	var bestNum, bestDen int // pressure = busy/(N·λ) compared exactly
+	var bestNum, bestDen int // pressure = busy/(N·period) compared exactly
 	for y, n := range limits {
 		if n >= count[y] {
 			continue
 		}
-		num, den := busy[y], n*lambda
+		num, den := busy[y], n*period
 		if den <= 0 {
 			den = 1
 		}
@@ -401,7 +448,7 @@ func blame(err error, d *dfg.Graph, lib *model.Library, limits sched.Limits, cou
 // for: full join closure, or the operations' own kinds only (ablation).
 func buildWCG(d *dfg.Graph, lib *model.Library, opt Options) (*wcg.Graph, error) {
 	if opt.DisableClosure {
-		return wcg.BuildWithKinds(d, lib, ownKinds(d))
+		return wcg.BuildWithKinds(d, lib, wcg.OwnKinds(d))
 	}
 	return wcg.Build(d, lib)
 }
@@ -522,21 +569,6 @@ func runLadder(ctx context.Context, g *wcg.Graph, lambda int, opt Options, limit
 // any allocator can meet (critical path at minimum latencies).
 func MinLambda(d *dfg.Graph, lib *model.Library) (int, error) {
 	return d.MinMakespan(lib)
-}
-
-// ownKinds extracts one kind per distinct operation signature, without
-// join closure.
-func ownKinds(d *dfg.Graph) []model.Kind {
-	seen := make(map[model.Kind]bool)
-	var kinds []model.Kind
-	for _, o := range d.Ops() {
-		k := o.Spec.MinKind()
-		if !seen[k] {
-			seen[k] = true
-			kinds = append(kinds, k)
-		}
-	}
-	return kinds
 }
 
 // makespan is the makespan of toDatapath(g, start, b) without building

@@ -230,7 +230,7 @@ func TestAllocateCancellationAtScale(t *testing.T) {
 		t.Fatal(err)
 	}
 	lambda := lmin + lmin/5
-	s := newSearch(g, lib, lambda, Options{})
+	s := newDPSearch(g, lib, lambda, Options{})
 	for _, run := range []struct {
 		name  string
 		solve func(context.Context) error

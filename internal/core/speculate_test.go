@@ -49,7 +49,7 @@ func TestSpeculativeSearchMatchesSequential(t *testing.T) {
 			}
 			for _, tenths := range []int{12, 20} {
 				lambda := lmin * tenths / 10
-				s := newSearch(g, lib, lambda, Options{})
+				s := newDPSearch(g, lib, lambda, Options{})
 				want := outcome(s.sequential(context.Background()))
 				variants := []struct {
 					workers int

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/anneal"
 	"repro/internal/core"
-	"repro/internal/descend"
 	"repro/internal/portfolio"
 	"repro/internal/tgff"
 	"repro/internal/twostage"
@@ -71,7 +70,7 @@ func Methods(ctx context.Context, cfg Config, sizes []int, relaxes []float64, an
 				if err != nil {
 					return nil, fmt.Errorf("methods twostage n=%d: %w", n, err)
 				}
-				de, err := descend.AllocateCtx(ctx, g, cfg.Lib, lambda)
+				de, err := twostage.Descend(ctx, g, cfg.Lib, lambda)
 				if err != nil {
 					return nil, fmt.Errorf("methods descend n=%d: %w", n, err)
 				}

@@ -1,13 +1,13 @@
 package fxsim
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/datapath"
-	"repro/internal/descend"
 	"repro/internal/dfg"
 	"repro/internal/model"
 	"repro/internal/tgff"
@@ -93,7 +93,7 @@ func allocators(t *testing.T, lib *model.Library) map[string]func(*dfg.Graph, in
 			return dp, err
 		},
 		"descend": func(g *dfg.Graph, lambda int) (*datapath.Datapath, error) {
-			return descend.Allocate(g, lib, lambda)
+			return twostage.Descend(context.Background(), g, lib, lambda)
 		},
 	}
 }

@@ -21,6 +21,15 @@
 // kind order) instead of interval chains, because maximum circular-arc
 // cliques no longer have the transitive-orientation structure §2.3
 // exploits.
+//
+// The per-class resource limits N_y come from core.Search, DPAlloc's
+// own resource-bound search, with one change: a unit offers at most
+// min(II, λ) busy cycles per iteration, so that is the search's period.
+// The search tries one configuration at a time. DPAlloc speculates on
+// large graphs by predicting the next configuration from the refinement
+// fixpoint G_min, where its ladders fail; this ladder fails at the first
+// Eqn. 3 deadlock instead, long before G_min, so the prediction's
+// premise does not hold.
 package pipeline
 
 import (
@@ -30,6 +39,7 @@ import (
 	"sort"
 
 	"repro/internal/bind"
+	"repro/internal/core"
 	"repro/internal/datapath"
 	"repro/internal/dfg"
 	"repro/internal/model"
@@ -58,13 +68,11 @@ type Stats struct {
 // Allocate produces a datapath whose schedule meets λ and whose binding
 // is legal under initiation interval II.
 //
-// Like core.Allocate, an outer search drives the per-class resource
-// limits N_y from their utilisation lower bound upward; under an
-// initiation interval each unit contributes at most min(II, λ) busy
-// cycles per iteration, so the bound is ⌈Σℓ_min / min(II, λ)⌉. The
-// first feasible configuration serialises operations as much as the
-// constraints allow, which is what creates modulo-disjoint windows for
-// the binder to share.
+// Like core.Allocate, it drives the per-class resource limits N_y from
+// their utilisation lower bound ⌈Σℓ_min / min(II, λ)⌉ upward (see the
+// package comment). The first feasible configuration serialises
+// operations as much as the constraints allow, which is what creates
+// modulo-disjoint windows for the binder to share.
 func Allocate(d *dfg.Graph, lib *model.Library, lambda, ii int, opt Options) (*datapath.Datapath, Stats, error) {
 	return AllocateCtx(context.Background(), d, lib, lambda, ii, opt)
 }
@@ -84,25 +92,9 @@ func AllocateCtx(ctx context.Context, d *dfg.Graph, lib *model.Library, lambda, 
 		return &datapath.Datapath{}, stats, nil
 	}
 
-	base, err := wcg.Build(d, lib)
+	base, err := buildWCG(d, lib, ii)
 	if err != nil {
 		return nil, stats, err
-	}
-	// Pre-refinement: kinds slower than II can never be bound.
-	for _, o := range d.Ops() {
-		kept := 0
-		for _, ki := range base.CompatKinds(o.ID) {
-			if base.KindLatency(ki) <= ii {
-				kept++
-			}
-		}
-		if kept == 0 {
-			return nil, stats, fmt.Errorf("%w: operation %d (%v) has no kind with latency ≤ II=%d",
-				ErrInfeasible, o.ID, d.Op(o.ID).Spec, ii)
-		}
-		for base.UpperLatency(o.ID) > ii {
-			base.DeleteMaxLatencyEdges(o.ID)
-		}
 	}
 	stats.Kinds = len(base.Kinds)
 
@@ -110,79 +102,56 @@ func AllocateCtx(ctx context.Context, d *dfg.Graph, lib *model.Library, lambda, 
 	if pick == nil {
 		pick = refine.ChooseVictim
 	}
+	period := max(1, min(ii, lambda))
+	dp, _, err := core.Search(ctx, d, lib, period, func(ctx context.Context, limits sched.Limits) (*datapath.Datapath, error) {
+		return allocateFixed(ctx, base.Clone(), lib, lambda, ii, limits, pick, &stats)
+	})
+	return dp, stats, err
+}
 
-	// Utilisation lower bounds on the per-class limits.
-	count := make(map[model.OpType]int)
-	busy := make(map[model.OpType]int)
+// buildWCG builds the compatibility graph and pre-refines it: kinds
+// slower than II can never be bound.
+func buildWCG(d *dfg.Graph, lib *model.Library, ii int) (*wcg.Graph, error) {
+	g, err := wcg.Build(d, lib)
+	if err != nil {
+		return nil, err
+	}
 	for _, o := range d.Ops() {
-		y := o.Spec.Type.HardwareClass()
-		count[y]++
-		busy[y] += model.MinLatency(o.Spec, lib)
-	}
-	cap := min(ii, lambda)
-	if cap < 1 {
-		cap = 1
-	}
-	limits := make(sched.Limits, len(count))
-	for y, b := range busy {
-		limits[y] = max(1, min((b+cap-1)/cap, count[y]))
-	}
-
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, stats, err
-		}
-		dp, err := allocateFixed(ctx, base.Clone(), lib, lambda, ii, limits, pick, &stats)
-		if err == nil {
-			return dp, stats, nil
-		}
-		if !errors.Is(err, ErrInfeasible) {
-			return nil, stats, err
-		}
-		grown := false
-		var se *sched.InfeasibleError
-		if errors.As(err, &se) {
-			y := d.Op(se.Op).Spec.Type.HardwareClass()
-			if limits[y] < count[y] {
-				limits[y]++
-				grown = true
+		kept := 0
+		for _, ki := range g.CompatKinds(o.ID) {
+			if g.KindLatency(ki) <= ii {
+				kept++
 			}
 		}
-		if !grown {
-			// Grow the class with the highest utilisation pressure that
-			// still has headroom.
-			bestY, found := model.Add, false
-			var bestNum, bestDen int
-			for y, nl := range limits {
-				if nl >= count[y] {
-					continue
-				}
-				num, den := busy[y], nl*cap
-				if !found || num*bestDen > bestNum*den {
-					bestY, bestNum, bestDen, found = y, num, den, true
-				}
-			}
-			if !found {
-				return nil, stats, err
-			}
-			limits[bestY]++
+		if kept == 0 {
+			return nil, fmt.Errorf("%w: operation %d (%v) has no kind with latency ≤ II=%d",
+				ErrInfeasible, o.ID, d.Op(o.ID).Spec, ii)
+		}
+		for g.UpperLatency(o.ID) > ii {
+			g.DeleteMaxLatencyEdges(o.ID)
 		}
 	}
+	return g, nil
 }
 
 // allocateFixed runs the schedule/bind/refine loop for one resource-
-// limit configuration.
+// limit configuration. Its infeasibility errors wrap core.ErrInfeasible
+// too, which is what makes core.Search grow a class after them.
 func allocateFixed(ctx context.Context, g *wcg.Graph, lib *model.Library, lambda, ii int, limits sched.Limits, pick refine.Policy, stats *Stats) (*datapath.Datapath, error) {
+	var (
+		ss sched.Scratch
+		rs refine.Scratch
+	)
 	maxIters := g.NumHEdges() + 2
 	for iter := 0; iter < maxIters; iter++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		stats.Iterations++
-		r, err := sched.List(g, limits)
+		r, err := ss.List(g, limits)
 		if err != nil {
 			if errors.Is(err, sched.ErrResourceInfeasible) {
-				return nil, fmt.Errorf("%w: %w", ErrInfeasible, err)
+				return nil, fmt.Errorf("%w: %w: %w", ErrInfeasible, core.ErrInfeasible, err)
 			}
 			return nil, err
 		}
@@ -193,9 +162,9 @@ func allocateFixed(ctx context.Context, g *wcg.Graph, lib *model.Library, lambda
 			}
 			return dp, nil
 		}
-		if _, ok := refine.StepWithPolicy(g, r.Start, b, lambda, pick); !ok {
-			return nil, fmt.Errorf("%w: λ=%d below achievable latency %d at II=%d",
-				ErrInfeasible, lambda, dp.Makespan(lib), ii)
+		if rs.StepBatch(g, r.Start, b, lambda, pick, 1) == 0 {
+			return nil, fmt.Errorf("%w: λ=%d below achievable latency %d at II=%d: %w",
+				ErrInfeasible, lambda, dp.Makespan(lib), ii, core.ErrInfeasible)
 		}
 		stats.Refinements++
 	}

@@ -246,30 +246,21 @@ func FirstReducible(g *wcg.Graph, _ *bind.Binding, cands []dfg.OpID) (dfg.OpID, 
 	return best, true
 }
 
-// Step performs one refinement: find Q_b, W, choose a victim and delete
-// its maximum-latency H edges. It falls back from W to Q_b to the whole
-// operation set when the preferred sets contain no reducible operation
-// ("reducing the latency of operations that are not members of this set
-// may be necessary"). Returns the refined operation and true, or false
-// when no operation anywhere can be refined (the problem is infeasible
-// for this λ).
-func Step(g *wcg.Graph, start []int, b *bind.Binding, lambda int) (dfg.OpID, bool) {
-	return StepWithPolicy(g, start, b, lambda, ChooseVictim)
-}
-
 // StepBatch performs up to k refinements from a single schedule's
 // candidate computation: the bound critical path Q_b and candidate set W
 // are computed once, then the policy is re-applied (against the graph as
 // it shrinks, so the proportion metric stays current) until k victims
-// have been refined or W runs out of reducible operations. k=1 is
-// exactly StepWithPolicy — the paper's step. Larger k trades the paper's
-// reschedule-per-refinement precision for one reschedule per batch,
-// which is what makes 1000-operation graphs tractable: the number of
-// schedule/bind rounds, not the cost of one round, is the superlinear
-// term. The fallback tiers (Q_b, then the whole operation set) only
-// engage when W yields nothing, and then refine a single victim, exactly
-// like StepWithPolicy. Returns the number of operations refined; 0 means
-// nothing anywhere is reducible.
+// have been refined or W runs out of reducible operations. When W yields
+// nothing it refines a single victim from Q_b, else from the whole
+// operation set ("reducing the latency of operations that are not
+// members of this set may be necessary"). k=1 is the paper's step: find
+// Q_b and W, choose a victim and delete its maximum-latency H edges.
+// Larger k trades the paper's reschedule-per-refinement precision for
+// one reschedule per batch, which is what makes 1000-operation graphs
+// tractable: the number of schedule/bind rounds, not the cost of one
+// round, is the superlinear term. Returns the number of operations
+// refined; 0 means nothing anywhere is reducible (the problem is
+// infeasible for this λ).
 func StepBatch(g *wcg.Graph, start []int, b *bind.Binding, lambda int, pick Policy, k int) int {
 	return new(Scratch).StepBatch(g, start, b, lambda, pick, k)
 }
@@ -278,12 +269,6 @@ func StepBatch(g *wcg.Graph, start []int, b *bind.Binding, lambda int, pick Poli
 func (s *Scratch) StepBatch(g *wcg.Graph, start []int, b *bind.Binding, lambda int, pick Policy, k int) int {
 	_, done := s.step(g, start, b, lambda, pick, k)
 	return done
-}
-
-// StepWithPolicy is Step with an explicit victim-selection policy.
-func StepWithPolicy(g *wcg.Graph, start []int, b *bind.Binding, lambda int, pick Policy) (dfg.OpID, bool) {
-	o, done := new(Scratch).step(g, start, b, lambda, pick, 1)
-	return o, done > 0
 }
 
 // step refines up to max(k, 1) victims from W, else one from Q_b, else

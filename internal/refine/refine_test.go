@@ -24,7 +24,7 @@ func setup(t *testing.T, d *dfg.Graph) (*wcg.Graph, []int, *bind.Binding) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := bind.Select(g, r.Start)
+	b, _, err := bind.SelectStats(g, r.Start, bind.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestStepReducesUpperBound(t *testing.T) {
 	d.AddDep(o1, o2)
 	g, start, b := setup(t, d)
 	before := g.UpperLatency(o2)
-	victim, ok := Step(g, start, b, 12)
+	victim, ok := stepOnce(g, start, b, 12)
 	if !ok {
 		t.Fatal("no refinement performed")
 	}
@@ -174,18 +174,18 @@ func TestStepReducesUpperBound(t *testing.T) {
 }
 
 func TestStepFallsBackAndEventuallyFails(t *testing.T) {
-	// All ops single-kind: nothing reducible anywhere, Step returns false.
+	// All ops single-kind: nothing reducible anywhere, the step refines nothing.
 	d := dfg.New()
 	d.AddOp("", model.Add, model.AddSig(8))
 	d.AddOp("", model.Add, model.AddSig(8))
 	g, start, b := setup(t, d)
-	if _, ok := Step(g, start, b, 1); ok {
+	if _, ok := stepOnce(g, start, b, 1); ok {
 		t.Fatal("refined an irreducible problem")
 	}
 }
 
 func TestRefinementTerminates(t *testing.T) {
-	// Repeated Step calls must terminate (H edges strictly decrease).
+	// Repeated steps must terminate (H edges strictly decrease).
 	rnd := rand.New(rand.NewSource(53))
 	for trial := 0; trial < 50; trial++ {
 		d := randomDAG(rnd, 1+rnd.Intn(14))
@@ -193,11 +193,11 @@ func TestRefinementTerminates(t *testing.T) {
 		steps := 0
 		for {
 			edges := g.NumHEdges()
-			if _, ok := Step(g, start, b, 0); !ok {
+			if _, ok := stepOnce(g, start, b, 0); !ok {
 				break
 			}
 			if g.NumHEdges() >= edges {
-				t.Fatal("Step did not delete any H edge")
+				t.Fatal("step did not delete any H edge")
 			}
 			steps++
 			if steps > 10000 {
@@ -299,7 +299,7 @@ func TestChooseVictimMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := bind.Select(g, r.Start)
+			b, _, err := bind.SelectStats(g, r.Start, bind.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -402,7 +402,7 @@ func TestVictimQueueMatchesChooseVictim(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					b, err := bind.Select(w, r.Start)
+					b, _, err := bind.SelectStats(w, r.Start, bind.Options{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -494,4 +494,11 @@ func nothingReducible(g *wcg.Graph) bool {
 		}
 	}
 	return true
+}
+
+// stepOnce is the paper's refinement step, StepBatch with k=1, reporting
+// the victim.
+func stepOnce(g *wcg.Graph, start []int, b *bind.Binding, lambda int) (dfg.OpID, bool) {
+	o, done := new(Scratch).step(g, start, b, lambda, ChooseVictim, 1)
+	return o, done > 0
 }

@@ -1,13 +1,13 @@
 package rtl_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/datapath"
-	"repro/internal/descend"
 	"repro/internal/dfg"
 	"repro/internal/model"
 	"repro/internal/rtl"
@@ -70,7 +70,7 @@ func TestRTLEquivalenceRandom(t *testing.T) {
 					return dp, err
 				}},
 				{"descend", func() (*datapath.Datapath, error) {
-					return descend.Allocate(g, lib, lambda)
+					return twostage.Descend(context.Background(), g, lib, lambda)
 				}},
 			}
 			for _, m := range methods {

@@ -1,6 +1,7 @@
 package rtl_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -8,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datapath"
-	"repro/internal/descend"
 	"repro/internal/dfg"
 	"repro/internal/model"
 	"repro/internal/rtl"
@@ -297,7 +297,7 @@ func TestEquivDifferentialSlice(t *testing.T) {
 					return dp, err
 				}},
 				{"descend", func() (*datapath.Datapath, error) {
-					return descend.Allocate(g, lib, lambda)
+					return twostage.Descend(context.Background(), g, lib, lambda)
 				}},
 			}
 			for _, m := range methods {

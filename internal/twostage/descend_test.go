@@ -1,4 +1,4 @@
-package descend
+package twostage
 
 import (
 	"context"
@@ -8,17 +8,16 @@ import (
 	"repro/internal/dfg"
 	"repro/internal/model"
 	"repro/internal/tgff"
-	"repro/internal/twostage"
 )
 
-func TestAllocateEmpty(t *testing.T) {
-	dp, err := Allocate(dfg.New(), model.Default(), 0)
+func TestDescendEmpty(t *testing.T) {
+	dp, err := Descend(context.Background(), dfg.New(), model.Default(), 0)
 	if err != nil || len(dp.Instances) != 0 {
 		t.Fatalf("%v %v", dp, err)
 	}
 }
 
-func TestLegalOnRandomGraphs(t *testing.T) {
+func TestDescendLegalOnRandomGraphs(t *testing.T) {
 	lib := model.Default()
 	for seed := int64(0); seed < 50; seed++ {
 		g, err := tgff.Generate(tgff.Config{N: 12, Seed: seed})
@@ -30,7 +29,7 @@ func TestLegalOnRandomGraphs(t *testing.T) {
 			t.Fatal(err)
 		}
 		lambda := lmin + lmin/5
-		dp, err := Allocate(g, lib, lambda)
+		dp, err := Descend(context.Background(), g, lib, lambda)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,10 +39,9 @@ func TestLegalOnRandomGraphs(t *testing.T) {
 	}
 }
 
-func TestNeverBeatsOptimalTwoStage(t *testing.T) {
+func TestDescendNeverBeatsOptimalTwoStage(t *testing.T) {
 	// The greedy must be no better than the optimal B&B on the same
-	// schedule family (both use the same stage 1, which is
-	// deterministic).
+	// schedule (both use the same stage 1, which is deterministic).
 	lib := model.Default()
 	for seed := int64(0); seed < 40; seed++ {
 		g, err := tgff.Generate(tgff.Config{N: 10, Seed: seed})
@@ -55,11 +53,11 @@ func TestNeverBeatsOptimalTwoStage(t *testing.T) {
 			t.Fatal(err)
 		}
 		lambda := lmin + lmin/4
-		greedy, err := Allocate(g, lib, lambda)
+		greedy, err := Descend(context.Background(), g, lib, lambda)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt, stats, err := twostage.Allocate(g, lib, lambda)
+		opt, stats, err := Allocate(g, lib, lambda)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,33 +70,18 @@ func TestNeverBeatsOptimalTwoStage(t *testing.T) {
 	}
 }
 
-func TestCyclicRejected(t *testing.T) {
+func TestDescendCyclicRejected(t *testing.T) {
 	d := dfg.New()
 	a := d.AddOp("", model.Add, model.AddSig(8))
 	b := d.AddOp("", model.Add, model.AddSig(8))
 	d.AddDep(a, b)
 	d.AddDep(b, a)
-	if _, err := Allocate(d, model.Default(), 10); err == nil {
+	if _, err := Descend(context.Background(), d, model.Default(), 10); err == nil {
 		t.Fatal("cyclic graph accepted")
 	}
 }
 
-// countdownCtx cancels deterministically at the Nth poll, so the test
-// trips the cancellation check inside the binding loop, not before it.
-type countdownCtx struct {
-	context.Context
-	left int
-}
-
-func (c *countdownCtx) Err() error {
-	if c.left > 0 {
-		c.left--
-		return nil
-	}
-	return context.Canceled
-}
-
-func TestAllocateCtxCanceledInBindingLoop(t *testing.T) {
+func TestDescendCanceledInBindingLoop(t *testing.T) {
 	g, err := tgff.Generate(tgff.Config{N: 20, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +94,7 @@ func TestAllocateCtxCanceledInBindingLoop(t *testing.T) {
 	// Let the stage-1 schedule poll pass; trip at the greedy binding
 	// loop's first poll.
 	ctx := &countdownCtx{Context: context.Background(), left: 1}
-	dp, err := AllocateCtx(ctx, g, lib, lmin+lmin/3)
+	dp, err := Descend(ctx, g, lib, lmin+lmin/3)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -120,14 +103,14 @@ func TestAllocateCtxCanceledInBindingLoop(t *testing.T) {
 	}
 }
 
-func TestAllocateCtxPreCanceled(t *testing.T) {
+func TestDescendPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	g, err := tgff.Generate(tgff.Config{N: 10, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := AllocateCtx(ctx, g, model.Default(), 50); !errors.Is(err, context.Canceled) {
+	if _, err := Descend(ctx, g, model.Default(), 50); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

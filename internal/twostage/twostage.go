@@ -1,21 +1,32 @@
-// Package twostage implements the comparison baseline of the paper's §3:
-// the two-stage scheduling/binding approach of Constantinides, Cheung and
-// Luk, "Multiple-wordlength resource binding" (FPL 2000, reference [4]),
-// as characterised by the paper — "an optimal branch-and-bound approach
-// for resource binding and wordlength selection ... based on sharing only
-// resources that can be grouped together without increasing the latency
-// of the operation".
+// Package twostage implements the comparison baselines of the paper's
+// §3 and introduction. Allocate is the two-stage scheduling/binding
+// approach of Constantinides, Cheung and Luk, "Multiple-wordlength
+// resource binding" (FPL 2000, reference [4]), as characterised by the
+// paper — "an optimal branch-and-bound approach for resource binding and
+// wordlength selection ... based on sharing only resources that can be
+// grouped together without increasing the latency of the operation".
+// Descend is the clique-partitioning binder modified to "select cliques
+// by sorting nodes in descending order of wordlength" (Kum and Sung,
+// SiPS'98, reference [14]).
 //
-// Stage 1 schedules the graph wordlength-blind: classical list scheduling
-// with every operation at its native latency under per-class resource
-// counts (started at the utilisation lower bound and grown until the
-// latency constraint is met). Stage 2 finds the minimum-area partition
-// of the scheduled operations into resource cliques by branch-and-bound,
-// where a clique is feasible only if its members are pairwise
-// time-disjoint and their joined signature's kind has exactly the same
-// latency as every member's native latency — operations never slow down,
-// which is precisely the flexibility this baseline lacks compared with
-// Algorithm DPAlloc.
+// Both share stage 1, a wordlength-blind schedule: classical list
+// scheduling with every operation at its native latency under per-class
+// resource counts. It is core.Search — counts start at the utilisation
+// lower bound and the blamed class grows until the schedule meets λ —
+// over a ladder of one sched.ListEqn2 call on the compatibility graph of
+// the operations' own kinds, fully refined, so that every latency upper
+// bound is the native latency and Eqn. 2 counts each class per step.
+//
+// Stage 2 of Allocate finds the minimum-area partition of the scheduled
+// operations into resource cliques by branch-and-bound, where a clique
+// is feasible only if its members are pairwise time-disjoint and their
+// joined signature's kind has exactly the same latency as every member's
+// native latency — operations never slow down, which is precisely the
+// flexibility these baselines lack compared with Algorithm DPAlloc.
+// Descend binds the same way constructively instead: operations in
+// descending order of their dedicated-resource area, each joining the
+// first compatible clique or opening a new one. It shares the structural
+// limitation — no cross-band sharing — plus the greed.
 package twostage
 
 import (
@@ -24,9 +35,12 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/datapath"
 	"repro/internal/dfg"
 	"repro/internal/model"
+	"repro/internal/sched"
+	"repro/internal/wcg"
 )
 
 // ErrInfeasible is returned when λ is below the graph's λ_min.
@@ -59,213 +73,73 @@ func Allocate(d *dfg.Graph, lib *model.Library, lambda int) (*datapath.Datapath,
 // promptly once it is done, discarding any incumbent found so far.
 func AllocateCtx(ctx context.Context, d *dfg.Graph, lib *model.Library, lambda int) (*datapath.Datapath, Stats, error) {
 	var stats Stats
+	dp, err := allocate(ctx, d, lib, lambda, &stats, func(start []int) (*datapath.Datapath, error) {
+		return stage2(ctx, d, lib, start, &stats)
+	})
+	return dp, stats, err
+}
+
+// Descend runs the descending-wordlength baseline: stage 1, then the
+// descending-area first-fit partition. The schedule search and the
+// binding loop poll ctx and return ctx.Err() promptly once it is done.
+func Descend(ctx context.Context, d *dfg.Graph, lib *model.Library, lambda int) (*datapath.Datapath, error) {
+	var stats Stats
+	return allocate(ctx, d, lib, lambda, &stats, func(start []int) (*datapath.Datapath, error) {
+		_, assign, err := greedyIncumbent(ctx, d, lib, start, d.MinLatencies(lib))
+		if err != nil {
+			return nil, err
+		}
+		return materialize(d, start, assign), nil
+	})
+}
+
+// allocate schedules d with stage 1, binds the schedule with bind and
+// verifies the result.
+func allocate(ctx context.Context, d *dfg.Graph, lib *model.Library, lambda int, stats *Stats, bind func(start []int) (*datapath.Datapath, error)) (*datapath.Datapath, error) {
 	if err := d.Validate(); err != nil {
-		return nil, stats, err
+		return nil, err
 	}
 	if d.N() == 0 {
-		return &datapath.Datapath{}, stats, nil
+		return &datapath.Datapath{}, nil
 	}
-
-	start, err := stage1(ctx, d, lib, lambda, &stats)
-	if err != nil {
-		return nil, stats, err
-	}
-	dp, err := stage2(ctx, d, lib, start, &stats)
-	if err != nil {
-		return nil, stats, err
-	}
-	if err := dp.Verify(d, lib, lambda); err != nil {
-		return nil, stats, fmt.Errorf("twostage: internal error, illegal datapath: %w", err)
-	}
-	return dp, stats, nil
-}
-
-// WordlengthBlindSchedule exposes stage 1 (classical list scheduling at
-// native latencies with minimal per-class resource counts meeting λ) for
-// reuse by other two-stage baselines.
-func WordlengthBlindSchedule(d *dfg.Graph, lib *model.Library, lambda int) ([]int, error) {
-	return WordlengthBlindScheduleCtx(context.Background(), d, lib, lambda)
-}
-
-// WordlengthBlindScheduleCtx is WordlengthBlindSchedule with
-// cancellation between configuration attempts.
-func WordlengthBlindScheduleCtx(ctx context.Context, d *dfg.Graph, lib *model.Library, lambda int) ([]int, error) {
-	var stats Stats
-	return stage1(ctx, d, lib, lambda, &stats)
-}
-
-// GreedyPartition exposes the descending-area first-fit partition over a
-// fixed schedule (the constructive colouring this baseline family starts
-// from) as a complete datapath.
-func GreedyPartition(d *dfg.Graph, lib *model.Library, start []int) *datapath.Datapath {
-	dp, _ := GreedyPartitionCtx(context.Background(), d, lib, start)
-	return dp
-}
-
-// GreedyPartitionCtx is GreedyPartition with cancellation polled in the
-// binding loop.
-func GreedyPartitionCtx(ctx context.Context, d *dfg.Graph, lib *model.Library, start []int) (*datapath.Datapath, error) {
-	lat := d.MinLatencies(lib)
-	_, assign, err := greedyIncumbent(ctx, d, lib, start, lat)
+	start, err := stage1(ctx, d, lib, lambda, stats)
 	if err != nil {
 		return nil, err
 	}
-	return materialize(d, start, assign), nil
+	dp, err := bind(start)
+	if err != nil {
+		return nil, err
+	}
+	if err := dp.Verify(d, lib, lambda); err != nil {
+		return nil, fmt.Errorf("twostage: internal error, illegal datapath: %w", err)
+	}
+	return dp, nil
 }
 
 // ---- Stage 1: wordlength-blind list scheduling ----
 
+// stage1 returns the first schedule of core.Search's configurations
+// whose makespan at native latencies meets λ (see the package comment).
+// The ladder's error wraps core.ErrInfeasible too, which is what makes
+// the search grow a class.
 func stage1(ctx context.Context, d *dfg.Graph, lib *model.Library, lambda int, stats *Stats) ([]int, error) {
-	lat := d.MinLatencies(lib)
-	count := make(map[model.OpType]int)
-	busy := make(map[model.OpType]int)
-	for _, o := range d.Ops() {
-		y := o.Spec.Type.HardwareClass()
-		count[y]++
-		busy[y] += lat(o.ID)
+	g, err := wcg.BuildWithKinds(d, lib, wcg.OwnKinds(d))
+	if err != nil {
+		return nil, err
 	}
-	limits := make(map[model.OpType]int, len(count))
-	for y, b := range busy {
-		nRes := 1
-		if lambda > 0 {
-			nRes = (b + lambda - 1) / lambda
-		}
-		if nRes < 1 {
-			nRes = 1
-		}
-		if nRes > count[y] {
-			nRes = count[y]
-		}
-		limits[y] = nRes
-	}
-
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		stats.Configs++
-		start, makespan, err := listSchedule(d, lat, limits)
+	g.FullyRefine()
+	start, configs, err := core.Search(ctx, d, lib, lambda, func(_ context.Context, limits sched.Limits) ([]int, error) {
+		r, err := sched.ListEqn2(g, limits)
 		if err != nil {
 			return nil, err
 		}
-		if makespan <= lambda {
-			return start, nil
+		if r.Makespan > lambda {
+			return nil, fmt.Errorf("%w: λ=%d below λ_min %d: %w", ErrInfeasible, lambda, r.Makespan, core.ErrInfeasible)
 		}
-		// Grow the most pressured un-capped class.
-		bestY, found := model.Add, false
-		var bestNum, bestDen int
-		for y, nr := range limits {
-			if nr >= count[y] {
-				continue
-			}
-			num, den := busy[y], nr*lambda
-			if den <= 0 {
-				den = 1
-			}
-			if !found || num*bestDen > bestNum*den {
-				bestY, bestNum, bestDen, found = y, num, den, true
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("%w: λ=%d below λ_min %d", ErrInfeasible, lambda, makespan)
-		}
-		limits[bestY]++
-	}
-}
-
-// listSchedule is classical resource-constrained list scheduling with
-// per-step class counting (the paper's Eqn. 2) at native latencies.
-func listSchedule(d *dfg.Graph, lat dfg.Latencies, limits map[model.OpType]int) ([]int, int, error) {
-	n := d.N()
-	order, err := d.TopoOrder()
-	if err != nil {
-		return nil, 0, err
-	}
-	prio := make([]int, n)
-	for i := len(order) - 1; i >= 0; i-- {
-		id := order[i]
-		best := 0
-		for _, s := range d.Succ(id) {
-			if prio[s] > best {
-				best = prio[s]
-			}
-		}
-		prio[id] = best + lat(id)
-	}
-
-	start := make([]int, n)
-	finish := make([]int, n)
-	scheduled := make([]bool, n)
-	used := make(map[model.OpType][]int)
-	makespan, nDone, t := 0, 0, 0
-	for nDone < n {
-		var ready []dfg.OpID
-		for i := 0; i < n; i++ {
-			if scheduled[i] {
-				continue
-			}
-			ok := true
-			for _, p := range d.Pred(dfg.OpID(i)) {
-				if !scheduled[p] || finish[p] > t {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				ready = append(ready, dfg.OpID(i))
-			}
-		}
-		sort.Slice(ready, func(i, j int) bool {
-			a, b := ready[i], ready[j]
-			if prio[a] != prio[b] {
-				return prio[a] > prio[b]
-			}
-			return a < b
-		})
-		for _, o := range ready {
-			y := d.Op(o).Spec.Type.HardwareClass()
-			limit, constrained := limits[y]
-			l := lat(o)
-			if constrained {
-				fits := true
-				u := used[y]
-				for s := t; s < t+l; s++ {
-					if s < len(u) && u[s]+1 > limit {
-						fits = false
-						break
-					}
-				}
-				if !fits {
-					continue
-				}
-				for t+l > len(u) {
-					u = append(u, 0)
-				}
-				for s := t; s < t+l; s++ {
-					u[s]++
-				}
-				used[y] = u
-			}
-			scheduled[o] = true
-			start[o] = t
-			finish[o] = t + l
-			if finish[o] > makespan {
-				makespan = finish[o]
-			}
-			nDone++
-		}
-		next := -1
-		for i := 0; i < n; i++ {
-			if scheduled[i] && finish[i] > t && (next < 0 || finish[i] < next) {
-				next = finish[i]
-			}
-		}
-		if next < 0 {
-			next = t + 1
-		}
-		t = next
-	}
-	return start, makespan, nil
+		return r.Start, nil
+	})
+	stats.Configs += configs
+	return start, err
 }
 
 // ---- Stage 2: optimal latency-preserving binding by branch & bound ----

@@ -97,6 +97,22 @@ func Build(d *dfg.Graph, lib *model.Library) (*Graph, error) {
 	return BuildWithKinds(d, lib, kinds)
 }
 
+// OwnKinds returns one kind per distinct operation signature of d, in
+// first-use order, without join closure: the kind set of the no-closure
+// ablation and of the wordlength-blind baselines.
+func OwnKinds(d *dfg.Graph) []model.Kind {
+	seen := make(map[model.Kind]bool)
+	var kinds []model.Kind
+	for _, o := range d.Ops() {
+		k := o.Spec.MinKind()
+		if !seen[k] {
+			seen[k] = true
+			kinds = append(kinds, k)
+		}
+	}
+	return kinds
+}
+
 // BuildWithKinds constructs the compatibility graph over a caller-supplied
 // kind set (used by the no-closure ablation). Every operation must be
 // covered by at least one kind.

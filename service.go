@@ -36,9 +36,9 @@ type ServiceOptions struct {
 	// re-verified once on load, so a corrupted-but-parseable entry (e.g.
 	// a bit-flipped area) is recomputed and repaired instead of served.
 	// Cache hits are not re-verified. Copies inserted with Admit (cluster
-	// replication and read-through) are not verified at all: they are
-	// trusted as the peer that sent them is, so the LRU holds verified
-	// answers only when every Admit caller is trusted.
+	// replication and read-through) carry no problem to verify against:
+	// CopyHit verifies one on its first hit, and elsewhere they are
+	// trusted as the peer that sent them is.
 	Verify bool
 	// OnSolved, when non-nil, is called after every fresh successful
 	// solve (cache hits, store hits and failures excluded) with the
@@ -244,6 +244,38 @@ func (s *Service) CacheHit(key string) (sol Solution, hit []byte, ok bool) {
 	return sol, e.hit, true
 }
 
+// CopyHit is CacheHit for a key whose answer another replica owns,
+// served here from a copy; p is the problem key names. Under
+// ServiceOptions.Verify a copy Admit inserted is checked with Verify
+// against p on its first hit, so later hits cost nothing. A copy that
+// fails is dropped and counted in VerifyFailures, and CopyHit misses:
+// the caller relays instead.
+func (s *Service) CopyHit(key string, p Problem) (sol Solution, hit []byte, ok bool) {
+	if s.verify {
+		s.mu.Lock()
+		e, ok := s.cache.peek(key)
+		check := ok && e.unverified
+		s.mu.Unlock()
+		if check {
+			err := Verify(p, e.sol)
+			s.mu.Lock()
+			if err != nil {
+				// Concurrent first hits may all verify; one counts.
+				if s.cache.remove(e) {
+					s.stats.VerifyFailures++
+				}
+			} else {
+				e.unverified = false
+			}
+			s.mu.Unlock()
+			if err != nil {
+				return Solution{}, nil, false
+			}
+		}
+	}
+	return s.CacheHit(key)
+}
+
 // hitLocked is the cache-hit step of SolveKeyed and CacheHit; s.mu must
 // be held.
 func (s *Service) hitLocked(key string) (*lruEntry, bool) {
@@ -261,10 +293,10 @@ func (s *Service) hitLocked(key string) (*lruEntry, bool) {
 // evidence.
 func (s *Service) Peek(key string) (Solution, bool) {
 	s.mu.Lock()
-	sol, ok := s.cache.peek(key)
+	e, ok := s.cache.peek(key)
 	s.mu.Unlock()
 	if ok {
-		return sol, true
+		return e.sol, true
 	}
 	if s.store != nil {
 		return s.store.Get(key)
@@ -275,13 +307,14 @@ func (s *Service) Peek(key string) (Solution, bool) {
 // Admit inserts an externally computed solution under its problem hash —
 // the receiving half of cluster replication. The solution enters the
 // in-memory LRU and, when configured, the persistent store, exactly as
-// if this Service's own solver had produced it. Neither the key nor the
-// solution is checked, with or without ServiceOptions.Verify: Admit
-// trusts its caller as SolveKeyed trusts its key, so only trusted peers
-// may reach it.
+// if this Service's own solver had produced it. Admit checks neither the
+// key nor the solution: it trusts its caller as SolveKeyed trusts its
+// key, so only trusted peers may reach it. Under ServiceOptions.Verify,
+// CopyHit verifies the entry on its first hit.
 func (s *Service) Admit(key string, sol Solution) {
 	sol.Cached = false
 	if e, ok := newLRUEntry(key, sol); ok {
+		e.unverified = true
 		s.mu.Lock()
 		s.cache.add(e)
 		s.mu.Unlock()

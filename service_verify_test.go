@@ -180,3 +180,73 @@ func TestServiceVerifyCleanPath(t *testing.T) {
 		t.Fatalf("VerifyFailures = %d for honest solves", st.VerifyFailures)
 	}
 }
+
+// TestCopyHitVerifiesAdmittedCopies: under Verify, concurrent copy hits
+// on an Admitted copy that fails Verify all miss, the copy is dropped
+// and one failure is counted; a sound copy is served to every caller.
+// Without Verify the bad copy is served as it is.
+func TestCopyHitVerifiesAdmittedCopies(t *testing.T) {
+	g, err := mwl.GenerateRandom(mwl.RandomConfig{N: 12, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lmin, err := mwl.MinLambda(g, mwl.DefaultLibrary())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := mwl.Problem{Graph: g, Lambda: lmin + 3}
+	key, err := p.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := mwl.Solve(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bad mwl.Solution
+	blob, _ := json.Marshal(good)
+	if err := json.Unmarshal(blob, &bad); err != nil {
+		t.Fatal(err)
+	}
+	bad.Area++
+	hits := func(svc *mwl.Service) int {
+		t.Helper()
+		const callers = 8
+		served := make(chan bool, callers)
+		for i := 0; i < callers; i++ {
+			go func() {
+				_, _, ok := svc.CopyHit(key, p)
+				served <- ok
+			}()
+		}
+		n := 0
+		for i := 0; i < callers; i++ {
+			if <-served {
+				n++
+			}
+		}
+		return n
+	}
+
+	svc := mwl.NewServiceWith(mwl.ServiceOptions{Workers: 1, Verify: true})
+	svc.Admit(key, bad)
+	if n := hits(svc); n != 0 {
+		t.Fatalf("bad copy served %d times under Verify", n)
+	}
+	if st := svc.CacheStats(); st.VerifyFailures != 1 || st.Entries != 0 {
+		t.Fatalf("after the bad copy: %+v, want 1 verify failure and no entry", st)
+	}
+	svc.Admit(key, good)
+	if n := hits(svc); n != 8 {
+		t.Fatalf("sound copy served %d of 8 times", n)
+	}
+	if st := svc.CacheStats(); st.VerifyFailures != 1 || st.Hits != 8 {
+		t.Fatalf("after the sound copy: %+v, want 1 verify failure and 8 hits", st)
+	}
+
+	plain := mwl.NewServiceWith(mwl.ServiceOptions{Workers: 1})
+	plain.Admit(key, bad)
+	if n := hits(plain); n != 8 {
+		t.Fatalf("without Verify the copy was served %d of 8 times", n)
+	}
+}

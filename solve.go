@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/anneal"
 	"repro/internal/core"
-	"repro/internal/descend"
 	"repro/internal/exact"
 	"repro/internal/ilp"
 	"repro/internal/model"
@@ -339,7 +338,7 @@ func solveDescend(ctx context.Context, p Problem) (Solution, error) {
 		return Solution{}, err
 	}
 	t0 := time.Now()
-	dp, err := descend.AllocateCtx(ctx, p.Graph, lib, p.Lambda)
+	dp, err := twostage.Descend(ctx, p.Graph, lib, p.Lambda)
 	if err != nil {
 		return Solution{}, err
 	}

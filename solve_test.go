@@ -13,7 +13,6 @@ import (
 
 	mwl "repro"
 	"repro/internal/core"
-	"repro/internal/descend"
 	"repro/internal/exact"
 	"repro/internal/ilp"
 	"repro/internal/pipeline"
@@ -153,7 +152,7 @@ func TestSolveMatchesAllocators(t *testing.T) {
 			}
 			check(t, "twostage", p, ts)
 
-			de, err := descend.Allocate(c.g, lib, c.lambda)
+			de, err := twostage.Descend(context.Background(), c.g, lib, c.lambda)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -287,7 +286,7 @@ func TestCancellationIsPrompt(t *testing.T) {
 // to the node cap. The binding loop now polls ctx: canceling a solve
 // that takes hundreds of milliseconds must return within moments of the
 // cancel. (descend's binding-loop cancellation is enforced
-// deterministically in internal/descend.)
+// deterministically in internal/twostage.)
 func TestTwoStageCancellationMidSolve(t *testing.T) {
 	lib := mwl.DefaultLibrary()
 	// n=60/seed=3 drives stage 2 to its node cap: ~240 ms of binding

@@ -91,6 +91,9 @@ type lruEntry struct {
 	sol  Solution
 	hit  []byte // sol's compact JSON encoding with Cached set, plus '\n'
 	size int64
+	// unverified marks an entry Admit inserted that no Verify has
+	// checked yet; the Service's mutex guards it.
+	unverified bool
 }
 
 // lruCache is a bounded least-recently-used map from problem hash to
@@ -126,15 +129,28 @@ func (c *lruCache) get(key string) (*lruEntry, bool) {
 	return el.Value.(*lruEntry), true
 }
 
-// peek returns the cached solution without refreshing its recency: a
+// peek returns the cached entry without refreshing its recency: a
 // replication fetch from a peer replica is not local workload evidence
 // and must not keep an otherwise-cold entry pinned in the LRU.
-func (c *lruCache) peek(key string) (Solution, bool) {
+func (c *lruCache) peek(key string) (*lruEntry, bool) {
 	el, ok := c.index[key]
 	if !ok {
-		return Solution{}, false
+		return nil, false
 	}
-	return el.Value.(*lruEntry).sol, true
+	return el.Value.(*lruEntry), true
+}
+
+// remove drops e if it is still the entry cached under its key, and
+// reports whether it was.
+func (c *lruCache) remove(e *lruEntry) bool {
+	el, ok := c.index[e.key]
+	if !ok || el.Value.(*lruEntry) != e {
+		return false
+	}
+	c.ll.Remove(el)
+	delete(c.index, e.key)
+	c.bytes -= e.size
+	return true
 }
 
 // add inserts (or refreshes) an entry made by newLRUEntry and evicts
@@ -146,9 +162,7 @@ func (c *lruCache) add(ne *lruEntry) {
 	key, size := ne.key, ne.size
 	if c.maxBytes > 0 && size > c.maxBytes {
 		if el, ok := c.index[key]; ok {
-			c.ll.Remove(el)
-			delete(c.index, key)
-			c.bytes -= el.Value.(*lruEntry).size
+			c.remove(el.Value.(*lruEntry))
 		}
 		c.evictions++
 		return
@@ -179,10 +193,7 @@ func (c *lruCache) evictOldest() {
 	if el == nil {
 		return
 	}
-	e := el.Value.(*lruEntry)
-	c.ll.Remove(el)
-	delete(c.index, e.key)
-	c.bytes -= e.size
+	c.remove(el.Value.(*lruEntry))
 	c.evictions++
 }
 
