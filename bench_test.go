@@ -649,13 +649,18 @@ func deadlockFixture(b *testing.B, n int) (*wcg.Graph, sched.Limits, int) {
 // BenchmarkAnneal times the simulated-annealing backend across problem
 // sizes at a relaxed λ, reporting the achieved area next to DPAlloc's
 // on the same graphs so the quality/runtime trade-off is visible in
-// BENCH.json.
+// BENCH.json. The small sizes run 4,000 moves; N=48 and N=96, where the
+// list scheduler dominates, run the default budget of 20,000.
 func BenchmarkAnneal(b *testing.B) {
 	lib := mwl.DefaultLibrary()
-	for _, n := range []int{8, 12, 16} {
+	for _, n := range []int{8, 12, 16, 48, 96} {
 		graphs, err := tgff.Batch(n, 10, benchSeed, tgff.Config{})
 		if err != nil {
 			b.Fatal(err)
+		}
+		moves := 4000
+		if n > 16 {
+			moves = 0 // the default budget
 		}
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
 			var annArea, heurArea int64
@@ -669,7 +674,7 @@ func BenchmarkAnneal(b *testing.B) {
 					lambda := lmin + lmin/5
 					sol, err := mwl.Solve(context.Background(), mwl.Problem{
 						Method: "anneal", Graph: g, Lambda: lambda,
-						Options: mwl.SolveOptions{Seed: int64(gi), AnnealMoves: 4000},
+						Options: mwl.SolveOptions{Seed: int64(gi), AnnealMoves: moves},
 					})
 					if err != nil {
 						b.Fatal(err)

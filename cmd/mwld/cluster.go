@@ -193,16 +193,17 @@ func (c *cluster) routeCounters(target, trueOwner string) {
 // read through before any local compute: first the local cache/store,
 // then the live peers in rank order via the internal fetch endpoint — so
 // a replica dying does not trigger a recomputation storm for the keys it
-// already solved and replicated.
+// already solved and replicated. Under -verify both copies are checked
+// against p first (Service.PeekCopy, Service.AdmitFor), and one that
+// fails is solved afresh.
 func (c *cluster) serveLocal(ctx context.Context, svc *mwl.Service, key string, p mwl.Problem) (mwl.Solution, error) {
 	if trueOwner := c.owner(key); trueOwner != "" && trueOwner != c.self {
-		if sol, ok := svc.Peek(key); ok {
+		if sol, ok := svc.PeekCopy(key, p); ok {
 			sol.Cached = true
 			return sol, nil
 		}
-		if sol, ok := c.readThrough(ctx, key); ok {
+		if sol, ok := c.readThrough(ctx, key); ok && svc.AdmitFor(key, p, sol) {
 			c.readHits.Add(1)
-			svc.Admit(key, sol)
 			sol.Cached = true
 			return sol, nil
 		}

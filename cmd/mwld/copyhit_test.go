@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -256,6 +257,23 @@ func TestEmptyOptionsRelayToOwner(t *testing.T) {
 	}
 }
 
+// narrowed returns a copy of p's solution good whose first instance is
+// one bit narrower: a copy that no longer verifies.
+func narrowed(t *testing.T, p mwl.Problem, good mwl.Solution) mwl.Solution {
+	t.Helper()
+	var bad mwl.Solution
+	if err := json.Unmarshal(mustJSON(t, good), &bad); err != nil {
+		t.Fatal(err)
+	}
+	sig := &bad.Datapath.Instances[0].Kind.Sig
+	sig.Hi--
+	sig.Lo = min(sig.Lo, sig.Hi)
+	if mwl.Verify(p, bad) == nil {
+		t.Fatal("the narrowed copy still verifies")
+	}
+	return bad
+}
+
 // TestCopyHitVerifiedUnderVerify: under -verify, a copy Admitted with
 // one wrong operand width is refused on its first copy hit — dropped
 // and counted as a verify failure — and the request relays to the
@@ -271,17 +289,7 @@ func TestCopyHitVerifiedUnderVerify(t *testing.T) {
 		p := pick(owner)
 		key := solveWithCopy(t, owner, peer, p)
 		good, _ := owner.svc.Peek(key)
-		var bad mwl.Solution
-		if err := json.Unmarshal(mustJSON(t, good), &bad); err != nil {
-			t.Fatal(err)
-		}
-		sig := &bad.Datapath.Instances[0].Kind.Sig
-		sig.Hi--
-		sig.Lo = min(sig.Lo, sig.Hi)
-		if mwl.Verify(p, bad) == nil {
-			t.Fatal("the narrowed copy still verifies")
-		}
-		peer.svc.Admit(key, bad)
+		peer.svc.Admit(key, narrowed(t, p, good))
 		return p
 	}
 	// wantRefused checks that n bad copies were refused and relayed: no
@@ -370,4 +378,76 @@ func postProblems(t *testing.T, url string, problems []mwl.Problem) []*mwl.Solut
 		out[i] = r.Solution
 	}
 	return out
+}
+
+// TestFailoverCopyVerifiedUnderVerify: a replica answering for a down
+// owner serves the copy it holds, or the one it reads through from the
+// third replica, only if it verifies under -verify. A copy Admitted
+// with one wrong operand width is refused and counted, and the problem
+// is solved afresh; without -verify the same copy is served as it is.
+func TestFailoverCopyVerifiedUnderVerify(t *testing.T) {
+	for _, verify := range []bool{false, true} {
+		t.Run(fmt.Sprintf("verify=%v", verify), func(t *testing.T) {
+			reps := startHealingClusterWith(t, 3, 1, testHealthConfig(), mwl.ServiceOptions{Workers: 2, Verify: verify})
+			down := reps[0]
+			// Two problems the replica about to go down owns: the
+			// acting replica holds the bad copy of the first, the third
+			// replica that of the second.
+			g := mwl.Fig1Graph()
+			lmin, err := mwl.MinLambda(g, mwl.DefaultLibrary())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var problems []mwl.Problem
+			for l := lmin; l < lmin+30 && len(problems) < 2; l++ {
+				p := mwl.Problem{Graph: g, Lambda: l}
+				key, err := p.Hash()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if down.cl.owner(key) == down.url {
+					problems = append(problems, p)
+				}
+			}
+			if len(problems) < 2 {
+				t.Fatalf("%s owns %d of the candidate problems, want 2", down.url, len(problems))
+			}
+			down.srv.Close()
+			for _, r := range reps[1:] {
+				waitFor(t, "the survivors to mark the owner down", func() bool { return !r.cl.alive(down.url) })
+			}
+			for i, p := range problems {
+				key, _ := p.Hash()
+				rank := down.cl.ring.Rank(key)
+				acting, third := byURL(t, reps, rank[1]), byURL(t, reps, rank[2])
+				good, err := mwl.Solve(context.Background(), p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				holder, path := acting, "held copy"
+				if i == 1 {
+					holder, path = third, "read-through copy"
+				}
+				holder.svc.Admit(key, narrowed(t, p, good))
+
+				before := acting.svc.CacheStats()
+				resp, got := postProblem(t, acting.url, p)
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("%s: status %d", path, resp.StatusCode)
+				}
+				after := acting.svc.CacheStats()
+				verr := mwl.Verify(p, got)
+				switch {
+				case verify && verr != nil:
+					t.Fatalf("%s: served under -verify: %v", path, verr)
+				case verify && (after.VerifyFailures != before.VerifyFailures+1 || after.Misses != before.Misses+1):
+					t.Fatalf("%s: verify failures %d → %d, misses %d → %d; want one refused copy and one solve",
+						path, before.VerifyFailures, after.VerifyFailures, before.Misses, after.Misses)
+				case !verify && (verr == nil || !got.Cached || after.Misses != before.Misses):
+					t.Fatalf("%s: without -verify got cached=%v, verify error %v, misses %d → %d; want the copy served",
+						path, got.Cached, verr, before.Misses, after.Misses)
+				}
+			}
+		})
+	}
 }

@@ -38,6 +38,13 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // the given copy factor.
 func startHealingCluster(t *testing.T, n, factor int, hcfg healthConfig) []*replica {
 	t.Helper()
+	return startHealingClusterWith(t, n, factor, hcfg, mwl.ServiceOptions{Workers: 2})
+}
+
+// startHealingClusterWith is startHealingCluster with each replica's
+// Service built from opts (OnSolved is set to the replicator's hook).
+func startHealingClusterWith(t *testing.T, n, factor int, hcfg healthConfig, opts mwl.ServiceOptions) []*replica {
+	t.Helper()
 	lns := make([]net.Listener, n)
 	urls := make([]string, n)
 	for i := range lns {
@@ -51,7 +58,7 @@ func startHealingCluster(t *testing.T, n, factor int, hcfg healthConfig) []*repl
 	peers := strings.Join(urls, ",")
 	out := make([]*replica, n)
 	for i := range out {
-		out[i] = startHealingReplica(t, peers, urls[i], lns[i], factor, hcfg)
+		out[i] = startHealingReplicaWith(t, peers, urls[i], lns[i], factor, hcfg, opts)
 	}
 	return out
 }
@@ -61,11 +68,17 @@ func startHealingCluster(t *testing.T, n, factor int, hcfg healthConfig) []*repl
 // ServiceOptions.OnSolved, health checker attached and started.
 func startHealingReplica(t *testing.T, peers, self string, ln net.Listener, factor int, hcfg healthConfig) *replica {
 	t.Helper()
+	return startHealingReplicaWith(t, peers, self, ln, factor, hcfg, mwl.ServiceOptions{Workers: 2})
+}
+
+// startHealingReplicaWith is startHealingReplica with the Service
+// built from opts.
+func startHealingReplicaWith(t *testing.T, peers, self string, ln net.Listener, factor int, hcfg healthConfig, opts mwl.ServiceOptions) *replica {
+	t.Helper()
 	cl, err := newCluster(peers, self)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := mwl.ServiceOptions{Workers: 2}
 	if rep := cl.attachReplicator(factor); rep != nil {
 		opts.OnSolved = rep.onSolved
 		t.Cleanup(rep.close)

@@ -40,7 +40,19 @@
 // sharpened per member with ancestor/descendant counts from the
 // precedence closure in dfg.Reach) that proves many merges infeasible
 // without a schedule. Only surviving proposals pay for the list
-// scheduler, which itself reuses flat scratch buffers across calls.
+// scheduler, which times a state in one pass over flat scratch:
+//
+//   - An operation becomes ready once its predecessors are placed and
+//     ranks are a permutation, so the placement order (least rank first
+//     among ready operations) depends only on the priorities and the
+//     DAG. It is computed (the ready set a bitset over ranks) when a
+//     swap changes the priorities, reused unchanged by rebind, merge and
+//     split, and the previous order is reinstated when a swap is undone.
+//   - Every slot on one instance lasts that instance's latency, so its
+//     occupied slots kept sorted by start are sorted by end too: the
+//     first slot ending after an operation's ready time is a binary
+//     search, the earliest free start lies past the run of slots that
+//     overlap from there, and the new slot is inserted in order.
 package anneal
 
 import (
@@ -48,6 +60,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/bitset"
@@ -120,9 +133,6 @@ func (s *state) clone() *state {
 	return c
 }
 
-// span is one occupied slot of an instance's schedule.
-type span struct{ s, e int }
-
 // moveKind discriminates the undo records.
 type moveKind uint8
 
@@ -160,12 +170,11 @@ type allocator struct {
 	lambda int
 	class  []model.OpType // hardware class per op
 	sig    []model.Signature
-	order  []dfg.OpID // topological order
 	reach  *dfg.Reach // precedence closure (static: the DFG never changes)
 	minLat []int      // latency of each op's minimal dedicated kind
 	head   []int      // min-latency ASAP start per op
 	tail   []int      // min-latency path from an op's finish to the sink
-	indeg0 []int      // predecessor counts, copied into scratch per eval
+	indeg0 []int      // predecessor counts, copied into scratch per placeOrder
 
 	// Per-group cost caches, indexed like state.groups, plus the total.
 	kinds []model.Kind
@@ -173,15 +182,29 @@ type allocator struct {
 	garea []int64
 	area  int64
 
+	// place is the order the list scheduler places operations in under
+	// the current priorities; prevPlace holds the order before the last
+	// swap, reinstated when the swap is undone.
+	place     []dfg.OpID
+	prevPlace []dfg.OpID
+
 	// Scratch reused across evaluations and proposals.
 	start   []int
 	finish  []int
 	indeg   []int
-	ready   []dfg.OpID
-	busy    [][]span
+	ready   []uint64   // placeOrder: bit r set when the op of rank r is ready
+	byRank  []dfg.OpID // placeOrder: the op of each rank
 	mask    bitset.Set // group membership, for closure intersections
 	cands   []int      // candidate group indices in proposals
 	targets []int
+
+	// Instance occupancy of the schedule being built: the start steps
+	// of group g's placed members, ascending, fill
+	// busy[busyOff[g]:busyEnd[g]]. Group g places len(groups[g]) of the
+	// n operations, so one flat buffer of n holds every group's list.
+	busy    []int
+	busyOff []int
+	busyEnd []int
 }
 
 // AllocateCtx runs the simulated-annealing allocator and returns the
@@ -196,75 +219,9 @@ func AllocateCtx(ctx context.Context, d *dfg.Graph, lib *model.Library, lambda i
 		return &datapath.Datapath{}, stats, nil
 	}
 	opt = opt.withDefaults()
-	order, err := d.TopoOrder()
+	a, cur, err := newAllocator(d, lib, lambda)
 	if err != nil {
 		return nil, stats, err
-	}
-	reach, err := dfg.NewReach(d)
-	if err != nil {
-		return nil, stats, err
-	}
-	a := &allocator{
-		d: d, lib: lib, lambda: lambda,
-		class:  make([]model.OpType, n),
-		sig:    make([]model.Signature, n),
-		order:  order,
-		reach:  reach,
-		minLat: make([]int, n),
-		head:   make([]int, n),
-		tail:   make([]int, n),
-		indeg0: make([]int, n),
-		start:  make([]int, n),
-		finish: make([]int, n),
-		indeg:  make([]int, n),
-		ready:  make([]dfg.OpID, 0, n),
-		mask:   bitset.New(n),
-	}
-	for _, o := range d.Ops() {
-		a.class[o.ID] = o.Spec.Type.HardwareClass()
-		a.sig[o.ID] = o.Spec.Sig
-		a.minLat[o.ID] = lib.Latency(o.Spec.MinKind())
-	}
-	for i := 0; i < n; i++ {
-		a.indeg0[i] = len(d.Pred(dfg.OpID(i)))
-	}
-	// Longest min-latency paths into each op's start and out of its
-	// finish: the static head/tail terms of the merge lower bound.
-	for _, o := range order {
-		for _, p := range d.Pred(o) {
-			if v := a.head[p] + a.minLat[p]; v > a.head[o] {
-				a.head[o] = v
-			}
-		}
-	}
-	for i := n - 1; i >= 0; i-- {
-		o := order[i]
-		for _, s := range d.Succ(o) {
-			if v := a.minLat[s] + a.tail[s]; v > a.tail[o] {
-				a.tail[o] = v
-			}
-		}
-	}
-
-	// Initial state: dedicated minimal instance per operation, priorities
-	// in topological order. Its list schedule is ASAP at minimum
-	// latencies, so it is feasible exactly when λ ≥ λ_min.
-	cur := &state{
-		groups:  make([][]dfg.OpID, n),
-		groupOf: make([]int, n),
-		prio:    make([]int, n),
-	}
-	a.kinds = make([]model.Kind, n)
-	a.glat = make([]int, n)
-	a.garea = make([]int64, n)
-	a.busy = make([][]span, n)
-	for i := 0; i < n; i++ {
-		cur.groups[i] = []dfg.OpID{dfg.OpID(i)}
-		cur.groupOf[i] = i
-		a.refreshGroup(cur, i)
-	}
-	for rank, id := range order {
-		cur.prio[id] = rank
 	}
 	stats.Evals++
 	makespan := a.schedule(cur)
@@ -345,6 +302,85 @@ func AllocateCtx(ctx context.Context, d *dfg.Graph, lib *model.Library, lambda i
 		return nil, stats, fmt.Errorf("anneal: internal error, produced illegal datapath: %w", err)
 	}
 	return dp, stats, nil
+}
+
+// newAllocator derives the static problem facts and the initial state:
+// a dedicated minimal instance per operation, priorities in topological
+// order. Its list schedule is ASAP at minimum latencies, so it is
+// feasible exactly when λ ≥ λ_min.
+func newAllocator(d *dfg.Graph, lib *model.Library, lambda int) (*allocator, *state, error) {
+	n := d.N()
+	order, err := d.TopoOrder()
+	if err != nil {
+		return nil, nil, err
+	}
+	reach, err := dfg.NewReach(d)
+	if err != nil {
+		return nil, nil, err
+	}
+	a := &allocator{
+		d: d, lib: lib, lambda: lambda,
+		class:     make([]model.OpType, n),
+		sig:       make([]model.Signature, n),
+		reach:     reach,
+		minLat:    make([]int, n),
+		head:      make([]int, n),
+		tail:      make([]int, n),
+		indeg0:    make([]int, n),
+		start:     make([]int, n),
+		finish:    make([]int, n),
+		indeg:     make([]int, n),
+		place:     make([]dfg.OpID, 0, n),
+		prevPlace: make([]dfg.OpID, 0, n),
+		ready:     make([]uint64, (n+63)/64),
+		byRank:    make([]dfg.OpID, n),
+		busy:      make([]int, n),
+		mask:      bitset.New(n),
+	}
+	for _, o := range d.Ops() {
+		a.class[o.ID] = o.Spec.Type.HardwareClass()
+		a.sig[o.ID] = o.Spec.Sig
+		a.minLat[o.ID] = lib.Latency(o.Spec.MinKind())
+	}
+	for i := 0; i < n; i++ {
+		a.indeg0[i] = len(d.Pred(dfg.OpID(i)))
+	}
+	// Longest min-latency paths into each op's start and out of its
+	// finish: the static head/tail terms of the merge lower bound.
+	for _, o := range order {
+		for _, p := range d.Pred(o) {
+			if v := a.head[p] + a.minLat[p]; v > a.head[o] {
+				a.head[o] = v
+			}
+		}
+	}
+	for i := n - 1; i >= 0; i-- {
+		o := order[i]
+		for _, s := range d.Succ(o) {
+			if v := a.minLat[s] + a.tail[s]; v > a.tail[o] {
+				a.tail[o] = v
+			}
+		}
+	}
+
+	cur := &state{
+		groups:  make([][]dfg.OpID, n),
+		groupOf: make([]int, n),
+		prio:    make([]int, n),
+	}
+	a.kinds = make([]model.Kind, n)
+	a.glat = make([]int, n)
+	a.garea = make([]int64, n)
+	for i := 0; i < n; i++ {
+		cur.groups[i] = []dfg.OpID{dfg.OpID(i)}
+		cur.groupOf[i] = i
+		a.refreshGroup(cur, i)
+	}
+	for rank, id := range order {
+		cur.prio[id] = rank
+	}
+	a.placeOrder(cur.prio)
+	return a, cur, nil
 }
 
 // grownGroup returns the group a move enlarged (the lower-bound screen
@@ -444,40 +480,64 @@ func (a *allocator) lbExceedsLambda(st *state, gi int) bool {
 	return false
 }
 
-// schedule derives the current state's schedule with a binding-aware
-// list scheduler: among ready operations the one with the lowest
-// priority rank is placed at the earliest step that respects its
-// predecessors' finish times and its instance's existing occupancy.
-// Start times land in a.start; the return value is the makespan. All
-// working storage is reused across calls.
-func (a *allocator) schedule(st *state) int {
-	n := a.d.N()
-	for len(a.busy) < len(st.groups) {
-		a.busy = append(a.busy, nil)
-	}
-	for gi := range st.groups {
-		a.busy[gi] = a.busy[gi][:0]
+// placeOrder fills a.place with the order the list scheduler places
+// operations in: an operation is ready once its predecessors are
+// placed, and the ready one of lowest rank goes next. Ranks are a
+// permutation, so the order depends only on the priorities and the DAG
+// — not on the binding — and is recomputed only when a swap changes
+// them. The ready set is a bitset over ranks, so the next operation is
+// its lowest set bit.
+func (a *allocator) placeOrder(prio []int) {
+	for id, r := range prio {
+		a.byRank[r] = dfg.OpID(id)
 	}
 	copy(a.indeg, a.indeg0)
-	ready := a.ready[:0]
-	for _, id := range a.order {
-		if a.indeg[id] == 0 {
-			ready = append(ready, id)
+	ready := a.ready
+	low := len(ready) // no word below low has a bit set
+	mark := func(r int) {
+		ready[r>>6] |= 1 << (r & 63)
+		low = min(low, r>>6)
+	}
+	for id, deg := range a.indeg {
+		if deg == 0 {
+			mark(prio[id])
 		}
 	}
-	makespan := 0
-	for placed := 0; placed < n; placed++ {
-		// Lowest-rank ready operation; the ready set is tiny.
-		bi := 0
-		for i := 1; i < len(ready); i++ {
-			if st.prio[ready[i]] < st.prio[ready[bi]] {
-				bi = i
+	place := a.place[:0]
+	for ; low < len(ready); low++ {
+		for ready[low] != 0 {
+			b := bits.TrailingZeros64(ready[low])
+			ready[low] &^= 1 << b
+			o := a.byRank[low<<6|b]
+			place = append(place, o)
+			for _, s := range a.d.Succ(o) {
+				if a.indeg[s]--; a.indeg[s] == 0 {
+					mark(prio[s])
+				}
 			}
 		}
-		o := ready[bi]
-		ready[bi] = ready[len(ready)-1]
-		ready = ready[:len(ready)-1]
+	}
+	a.place = place
+}
 
+// schedule derives the current state's schedule with a binding-aware
+// list scheduler: operations are placed in a.place's order, each at the
+// earliest step that respects its predecessors' finish times and its
+// instance's existing occupancy. Start times land in a.start; the
+// return value is the makespan. All working storage is reused across
+// calls.
+func (a *allocator) schedule(st *state) int {
+	for len(a.busyOff) < len(st.groups) {
+		a.busyOff = append(a.busyOff, 0)
+		a.busyEnd = append(a.busyEnd, 0)
+	}
+	off := 0
+	for gi, g := range st.groups {
+		a.busyOff[gi], a.busyEnd[gi] = off, off
+		off += len(g)
+	}
+	makespan := 0
+	for _, o := range a.place {
 		g := st.groupOf[o]
 		l := a.glat[g]
 		t := 0
@@ -486,32 +546,36 @@ func (a *allocator) schedule(st *state) int {
 				t = a.finish[p]
 			}
 		}
-		// Earliest gap of length l in the instance's occupancy. Spans are
-		// appended in nondecreasing placement order per group only when
-		// priorities respect it, so walk the whole list.
-		for changed := true; changed; {
-			changed = false
-			for _, sp := range a.busy[g] {
-				if sp.s < t+l && t < sp.e {
-					t = sp.e
-					changed = true
+		// Every slot of the group is l steps long, so slots sorted by
+		// start are sorted by end too. When the last slot ends by t the
+		// operation goes after it; otherwise the first slot ending after
+		// t is found by binary search, and the earliest gap of length l
+		// from t on lies past the run of slots that overlap the window.
+		lo, end := a.busyOff[g], a.busyEnd[g]
+		starts := a.busy[lo:end]
+		i := len(starts)
+		if i > 0 && starts[i-1]+l > t {
+			i = 0
+			for hi := len(starts) - 1; i < hi; {
+				if mid := int(uint(i+hi) >> 1); starts[mid]+l <= t {
+					i = mid + 1
+				} else {
+					hi = mid
 				}
 			}
+			for ; i < len(starts) && starts[i] < t+l; i++ {
+				t = starts[i] + l
+			}
+			copy(a.busy[lo+i+1:end+1], starts[i:])
 		}
-		a.busy[g] = append(a.busy[g], span{t, t + l})
+		a.busy[lo+i] = t
+		a.busyEnd[g] = end + 1
 		a.start[o] = t
 		a.finish[o] = t + l
 		if t+l > makespan {
 			makespan = t + l
 		}
-		for _, s := range a.d.Succ(o) {
-			a.indeg[s]--
-			if a.indeg[s] == 0 {
-				ready = append(ready, s)
-			}
-		}
 	}
-	a.ready = ready
 	return makespan
 }
 
@@ -550,6 +614,7 @@ func (a *allocator) undo(st *state, mv move) {
 		a.restoreGroup(mv.dst, mv.saved[1])
 	case mvSwap:
 		st.prio[mv.i], st.prio[mv.j] = st.prio[mv.j], st.prio[mv.i]
+		a.place, a.prevPlace = a.prevPlace, a.place
 	}
 }
 
@@ -652,6 +717,8 @@ func (a *allocator) proposeSwap(rnd *rand.Rand, cur *state) (move, bool) {
 		j++
 	}
 	cur.prio[i], cur.prio[j] = cur.prio[j], cur.prio[i]
+	a.place, a.prevPlace = a.prevPlace, a.place
+	a.placeOrder(cur.prio)
 	return move{kind: mvSwap, i: i, j: j}, true
 }
 

@@ -3,6 +3,8 @@ package anneal
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -179,5 +181,122 @@ func TestAnnealEmptyGraphAndQuality(t *testing.T) {
 	}
 	if adp.Area(lib) > 2*h.Area(lib) {
 		t.Fatalf("anneal area %d vs heuristic %d: unreasonably worse", adp.Area(lib), h.Area(lib))
+	}
+}
+
+// referenceSchedule is the annealer's list scheduler as first written,
+// kept as the oracle for schedule: among ready operations (all
+// predecessors placed) the lowest-rank one is placed next, and its start
+// is the fixed point of pushing it past every occupied span of its
+// instance that overlaps it, over the instance's spans in placement
+// order.
+func referenceSchedule(a *allocator, st *state) (start []int, makespan int) {
+	type span struct{ s, e int }
+	n := a.d.N()
+	start = make([]int, n)
+	finish := make([]int, n)
+	indeg := append([]int(nil), a.indeg0...)
+	busy := make([][]span, len(st.groups))
+	var ready []dfg.OpID
+	for id, deg := range indeg {
+		if deg == 0 {
+			ready = append(ready, dfg.OpID(id))
+		}
+	}
+	for placed := 0; placed < n; placed++ {
+		bi := 0
+		for i := 1; i < len(ready); i++ {
+			if st.prio[ready[i]] < st.prio[ready[bi]] {
+				bi = i
+			}
+		}
+		o := ready[bi]
+		ready[bi] = ready[len(ready)-1]
+		ready = ready[:len(ready)-1]
+
+		g := st.groupOf[o]
+		l := a.glat[g]
+		t := 0
+		for _, p := range a.d.Pred(o) {
+			if finish[p] > t {
+				t = finish[p]
+			}
+		}
+		for changed := true; changed; {
+			changed = false
+			for _, sp := range busy[g] {
+				if sp.s < t+l && t < sp.e {
+					t = sp.e
+					changed = true
+				}
+			}
+		}
+		busy[g] = append(busy[g], span{t, t + l})
+		start[o] = t
+		finish[o] = t + l
+		if t+l > makespan {
+			makespan = t + l
+		}
+		for _, s := range a.d.Succ(o) {
+			indeg[s]--
+			if indeg[s] == 0 {
+				ready = append(ready, s)
+			}
+		}
+	}
+	return start, makespan
+}
+
+// TestScheduleMatchesReference walks random move sequences — rebinds,
+// merges, splits and priority swaps, each kept or undone at random —
+// and checks after every step that the scheduler's start times and
+// makespan equal the reference scheduler's on the current state.
+func TestScheduleMatchesReference(t *testing.T) {
+	lib := model.Default()
+	sizes := []int{4, 5, 8, 12, 16, 24, 32, 48, 64, 96}
+	seeds, steps := 6, 300
+	if testing.Short() {
+		seeds, steps = 2, 100
+	}
+	for _, n := range sizes {
+		for seed := int64(0); seed < int64(seeds); seed++ {
+			t.Run(fmt.Sprintf("N=%d/seed=%d", n, seed), func(t *testing.T) {
+				cfg := tgff.Config{N: n, Seed: seed}
+				if seed%3 == 1 {
+					cfg.Shape = tgff.ShapeForkJoin
+				}
+				g, err := tgff.Generate(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				a, cur, err := newAllocator(g, lib, 1<<30)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rnd := rand.New(rand.NewSource(seed))
+				swaps := 0
+				for step := 0; step < steps; step++ {
+					mv, ok := a.propose(rnd, cur)
+					if !ok {
+						continue
+					}
+					if mv.kind == mvSwap {
+						swaps++
+					}
+					if rnd.Intn(3) == 0 {
+						a.undo(cur, mv)
+					}
+					got := a.schedule(cur)
+					wantStart, want := referenceSchedule(a, cur)
+					if got != want || !reflect.DeepEqual(a.start, wantStart) {
+						t.Fatalf("step %d (move %d): makespan %d, start %v; reference %d, %v",
+							step, mv.kind, got, a.start, want, wantStart)
+					}
+				}
+				if swaps == 0 && n > 1 {
+					t.Fatal("no swap was drawn")
+				}
+			})
+		}
 	}
 }

@@ -26,14 +26,34 @@ type eta struct {
 type etaFile struct {
 	m    int
 	etas []eta
-	nnz  int // stored off-pivot entries, a refactorisation heuristic
+	base int // etas the last factorisation left; those after are pivots
 }
 
 func newEtaFile(m int) *etaFile { return &etaFile{m: m} }
 
 func (f *etaFile) reset() {
 	f.etas = f.etas[:0]
-	f.nnz = 0
+	f.base = 0
+}
+
+// pivots reports how many basis changes the file holds since it was
+// last rebuilt from the basis: the length the refactorisation cap
+// bounds.
+func (f *etaFile) pivots() int { return len(f.etas) - f.base }
+
+// unitSpike reports whether w is the unit vector at pos up to dropTol,
+// whose eta would be the identity: FTRAN and BTRAN through it change
+// nothing.
+func unitSpike(pos int, w []float64) bool {
+	if w[pos] != 1 {
+		return false
+	}
+	for i, v := range w {
+		if i != pos && (v > dropTol || v < -dropTol) {
+			return false
+		}
+	}
+	return true
 }
 
 // push appends the eta that post-multiplies the basis with the spike w
@@ -46,7 +66,6 @@ func (f *etaFile) push(pos int, w []float64) {
 			e.val = append(e.val, v)
 		}
 	}
-	f.nnz += len(e.idx)
 	f.etas = append(f.etas, e)
 }
 

@@ -27,9 +27,10 @@ const (
 	pivotTol  = 1e-8 // smallest acceptable pivot element
 )
 
-// refactorEvery caps the eta-file length: beyond this the accumulated
-// transformations are rebuilt from the basis to flush roundoff and keep
-// FTRAN/BTRAN cheap.
+// refactorEvery caps the pivots the eta file accumulates after a
+// factorisation: beyond this the transformations are rebuilt from the
+// basis to flush roundoff and keep FTRAN/BTRAN cheap. The etas the
+// factorisation itself leaves (up to one per row) do not count.
 const refactorEvery = 96
 
 var errSingularBasis = errors.New("lp: singular basis")
@@ -126,22 +127,23 @@ type basisState struct {
 
 // rsState is the mutable state of one solve.
 type rsState struct {
-	s       *revisedSolver
-	lo, hi  []float64 // per-column working bounds
-	x       []float64 // current value per column
-	basis   []int     // basis position -> column
-	pos     []int     // column -> basis position, -1 if nonbasic
-	atUpper []bool    // nonbasic columns: resting on upper bound
-	f       *etaFile
-	w       []float64 // scratch: FTRANed entering column
-	y       []float64 // scratch: BTRAN pricing vector
-	rho     []float64 // scratch: BTRANed pivot-row unit vector
-	rhs     []float64 // scratch: RHS accumulation in computeX
-	dj      []float64 // phase-2 reduced costs, maintained incrementally
-	wref    []float64 // Devex reference weights
-	iters   int
-	bland   bool // anti-cycling mode: smallest-index pivoting
-	fresh   bool // eta file was just (re)factorised; gates numeric retries
+	s        *revisedSolver
+	lo, hi   []float64 // per-column working bounds
+	x        []float64 // current value per column
+	basis    []int     // basis position -> column
+	pos      []int     // column -> basis position, -1 if nonbasic
+	atUpper  []bool    // nonbasic columns: resting on upper bound
+	f        *etaFile
+	w        []float64 // scratch: FTRANed entering column
+	y        []float64 // scratch: BTRAN pricing vector
+	rho      []float64 // scratch: BTRANed pivot-row unit vector
+	rhs      []float64 // scratch: RHS accumulation in computeX
+	dj       []float64 // phase-2 reduced costs, maintained incrementally
+	wref     []float64 // Devex reference weights
+	iters    int
+	periodic int  // refactorisations the refactorEvery cap triggered
+	bland    bool // anti-cycling mode: smallest-index pivoting
+	fresh    bool // eta file was just (re)factorised; gates numeric retries
 }
 
 // solve optimises min cost·x over A·x + s = b with the given structural
@@ -151,6 +153,18 @@ type rsState struct {
 // the solve did not reach a conclusive basis (cancellation or numeric
 // failure).
 func (s *revisedSolver) solve(ctx context.Context, lo, hi []float64, warm *basisState) (*Solution, *basisState, error) {
+	st := s.start(lo, hi, warm)
+	sol, err := st.run(ctx)
+	if err != nil {
+		return sol, nil, err
+	}
+	return sol, st.snapshot(), nil
+}
+
+// start builds the working state of one solve on the warm basis, or on
+// the all-slack basis when warm is nil or unusable, with the basic
+// values computed.
+func (s *revisedSolver) start(lo, hi []float64, warm *basisState) *rsState {
 	m, n := s.a.m, s.a.n
 	st := &rsState{
 		s:       s,
@@ -179,11 +193,7 @@ func (s *revisedSolver) solve(ctx context.Context, lo, hi []float64, warm *basis
 		st.coldStart()
 	}
 	st.computeX()
-	sol, err := st.run(ctx)
-	if err != nil {
-		return sol, nil, err
-	}
-	return sol, st.snapshot(), nil
+	return st
 }
 
 // warmStart installs a basis from a previous related solve; it reports
@@ -277,10 +287,15 @@ func (st *rsState) factorize() error {
 		if r < 0 || best < pivotTol {
 			return errSingularBasis
 		}
-		st.f.push(r, w)
+		// A slack column the earlier etas left as its unit vector needs
+		// no eta of its own.
+		if !unitSpike(r, w) {
+			st.f.push(r, w)
+		}
 		used[r] = true
 		newBasis[r] = cj
 	}
+	st.f.base = len(st.f.etas)
 	copy(st.basis, newBasis)
 	for j := range st.pos {
 		st.pos[j] = -1
@@ -740,7 +755,8 @@ func (st *rsState) phase1(ctx context.Context, limit, stallLimit int, poll *int)
 			return nil, ErrNumeric
 		}
 		st.applyPivot(q, dir, r, t)
-		if len(st.f.etas) >= refactorEvery {
+		if st.f.pivots() >= refactorEvery {
+			st.periodic++
 			if err := st.refactor(); err != nil {
 				return nil, ErrNumeric
 			}
@@ -804,7 +820,8 @@ func (st *rsState) phase2(ctx context.Context, limit, stallLimit int, poll *int)
 		st.updateDualsDevex(q, r)
 		st.applyPivot(q, dir, r, t)
 		recheck = 0
-		if len(st.f.etas) >= refactorEvery {
+		if st.f.pivots() >= refactorEvery {
+			st.periodic++
 			if err := st.refactor(); err != nil {
 				return nil, false, ErrNumeric
 			}

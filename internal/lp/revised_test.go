@@ -207,14 +207,10 @@ func TestWarmStartAfterBoundChange(t *testing.T) {
 	}
 }
 
-// TestRefactorisationPath forces the eta file past refactorEvery to
-// cover the periodic refactorisation, on a transportation-like chain
-// whose optimum is known by construction.
-func TestRefactorisationPath(t *testing.T) {
-	// A 119-row chain of x_i + x_{i+1} ≥ 2 rows with varying costs needs
-	// well over refactorEvery pivots, so the eta file is rebuilt several
-	// times mid-solve; the optimum is pinned against the dense oracle.
-	n := 120
+// chainLP is a transportation-like chain of n variables: rows
+// x_i + x_{i+1} ≥ 2 with costs cycling 1, 2, 3. Its optimum is known
+// by construction and it needs about 0.8·n pivots from the slack basis.
+func chainLP(n int) *Problem {
 	p := &Problem{NumVars: n, Objective: make([]float64, n)}
 	for j := 0; j < n; j++ {
 		p.Objective[j] = 1 + float64(j%3)
@@ -224,9 +220,25 @@ func TestRefactorisationPath(t *testing.T) {
 			Idx: []int{i, i + 1}, Coef: []float64{1, 1}, Sense: GE, RHS: 2,
 		})
 	}
-	got, err := Solve(p)
+	return p
+}
+
+// TestRefactorisationPath forces the eta file past refactorEvery to
+// cover the periodic refactorisation, on a chain whose optimum is
+// known by construction.
+func TestRefactorisationPath(t *testing.T) {
+	// A 299-row chain needs well over twice refactorEvery pivots, so
+	// the eta file is rebuilt several times mid-solve; the optimum is
+	// pinned against the dense oracle.
+	p := chainLP(300)
+	lo, hi := structBounds(p)
+	st := newRevisedSolver(p).start(lo, hi, nil)
+	got, err := st.run(context.Background())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if st.periodic < 2 {
+		t.Fatalf("%d pivots rebuilt the eta file %d times, want several", st.iters, st.periodic)
 	}
 	want, err := solveDense(context.Background(), p)
 	if err != nil {
@@ -239,4 +251,65 @@ func TestRefactorisationPath(t *testing.T) {
 		t.Fatalf("obj %v, dense oracle %v", got.Obj, want.Obj)
 	}
 	checkFeasible(t, p, got.X)
+}
+
+// TestRefactorCapCountsPivots: the cap counts pivots since the last
+// factorisation, not the etas the factorisation itself leaves. On an
+// LP of 96 or more rows, a solve from the slack basis and one
+// warm-started from its optimal basis (as a branch-and-bound child is)
+// each rebuild the eta file at most once per refactorEvery pivots,
+// besides the refactorisations a numeric check forces. Counting the
+// whole file, the warm solve would rebuild it after every pivot.
+func TestRefactorCapCountsPivots(t *testing.T) {
+	p := chainLP(400)
+	if len(p.Cons) < refactorEvery {
+		t.Fatalf("%d rows: the LP must have at least refactorEvery rows", len(p.Cons))
+	}
+	rs := newRevisedSolver(p)
+	lo, hi := structBounds(p)
+	cold := rs.start(lo, hi, nil)
+	if _, err := cold.run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	// The child fixes every third variable at 0, which moves the
+	// optimum far enough for hundreds of pivots.
+	child := *p
+	child.Upper = make([]float64, p.NumVars)
+	for j := range child.Upper {
+		child.Upper[j] = math.Inf(1)
+		if j%3 == 0 {
+			child.Upper[j] = 0
+		}
+	}
+	clo, chi := structBounds(&child)
+	warm := rs.start(clo, chi, cold.snapshot())
+	if warm.f.base == 0 {
+		t.Fatal("the warm start left no factorisation etas")
+	}
+	got, err := warm.run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		st   *rsState
+	}{{"cold", cold}, {"warm", warm}} {
+		if c.st.iters < 2*refactorEvery {
+			t.Fatalf("%s: %d pivots, too few to test the cap", c.name, c.st.iters)
+		}
+		if allowed := c.st.iters / refactorEvery; c.st.periodic > allowed {
+			t.Errorf("%s: %d pivots rebuilt the eta file %d times, at most %d allowed",
+				c.name, c.st.iters, c.st.periodic, allowed)
+		}
+	}
+	// The child's optimum from its own slack basis, a different pivot
+	// path (the dense oracle is too slow at this size under -race).
+	want, err := Solve(&child)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Status != Optimal || want.Status != Optimal || math.Abs(got.Obj-want.Obj) > 1e-6 {
+		t.Fatalf("warm child: %v obj %v, cold solve %v obj %v", got.Status, got.Obj, want.Status, want.Obj)
+	}
+	checkFeasible(t, &child, got.X)
 }

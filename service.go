@@ -36,9 +36,9 @@ type ServiceOptions struct {
 	// re-verified once on load, so a corrupted-but-parseable entry (e.g.
 	// a bit-flipped area) is recomputed and repaired instead of served.
 	// Cache hits are not re-verified. Copies inserted with Admit (cluster
-	// replication and read-through) carry no problem to verify against:
-	// CopyHit verifies one on its first hit, and elsewhere they are
-	// trusted as the peer that sent them is.
+	// replication) carry no problem to verify against: CopyHit and
+	// PeekCopy verify one on its first use, and AdmitFor verifies a
+	// fetched copy before inserting it.
 	Verify bool
 	// OnSolved, when non-nil, is called after every fresh successful
 	// solve (cache hits, store hits and failures excluded) with the
@@ -252,28 +252,41 @@ func (s *Service) CacheHit(key string) (sol Solution, hit []byte, ok bool) {
 // the caller relays instead.
 func (s *Service) CopyHit(key string, p Problem) (sol Solution, hit []byte, ok bool) {
 	if s.verify {
-		s.mu.Lock()
-		e, ok := s.cache.peek(key)
-		check := ok && e.unverified
-		s.mu.Unlock()
-		if check {
-			err := Verify(p, e.sol)
-			s.mu.Lock()
-			if err != nil {
-				// Concurrent first hits may all verify; one counts.
-				if s.cache.remove(e) {
-					s.stats.VerifyFailures++
-				}
-			} else {
-				e.unverified = false
-			}
-			s.mu.Unlock()
-			if err != nil {
-				return Solution{}, nil, false
-			}
+		if _, ok := s.vouch(key, p); !ok {
+			return Solution{}, nil, false
 		}
 	}
 	return s.CacheHit(key)
+}
+
+// vouch is CopyHit's check: it verifies an entry Admit inserted under
+// key against p, once, and returns the entry it checked (nil when key
+// is not cached). An entry that fails is dropped and counted in
+// VerifyFailures, and vouch reports false; an absent or already
+// verified entry passes.
+func (s *Service) vouch(key string, p Problem) (*lruEntry, bool) {
+	s.mu.Lock()
+	e, ok := s.cache.peek(key)
+	check := ok && e.unverified
+	s.mu.Unlock()
+	if !ok {
+		return nil, true
+	}
+	if !check {
+		return e, true
+	}
+	err := Verify(p, e.sol)
+	s.mu.Lock()
+	if err != nil {
+		// Concurrent first hits may all verify; one counts.
+		if s.cache.remove(e) {
+			s.stats.VerifyFailures++
+		}
+	} else {
+		e.unverified = false
+	}
+	s.mu.Unlock()
+	return e, err == nil
 }
 
 // hitLocked is the cache-hit step of SolveKeyed and CacheHit; s.mu must
@@ -304,17 +317,55 @@ func (s *Service) Peek(key string) (Solution, bool) {
 	return Solution{}, false
 }
 
+// PeekCopy is Peek for a replica answering p, whose hash is key, from a
+// copy instead of its own solve: for a down owner, or for a request a
+// peer forwarded. Without ServiceOptions.Verify it is Peek. Under
+// Verify it reads the in-memory LRU only, checking a copy Admit
+// inserted as CopyHit does, and leaves a stored entry to SolveKeyed,
+// which verifies it on load. Like Peek it counts no cache hit.
+func (s *Service) PeekCopy(key string, p Problem) (Solution, bool) {
+	if !s.verify {
+		return s.Peek(key)
+	}
+	e, ok := s.vouch(key, p)
+	if !ok || e == nil {
+		return Solution{}, false
+	}
+	return e.sol, true
+}
+
+// AdmitFor is Admit for a caller holding p, the problem key names: a
+// replica that fetched a peer's copy to answer p. Under
+// ServiceOptions.Verify the copy is verified against p first; one that
+// fails is counted in VerifyFailures and not admitted, and AdmitFor
+// reports false. Without Verify it is Admit and reports true.
+func (s *Service) AdmitFor(key string, p Problem, sol Solution) bool {
+	if s.verify && Verify(p, sol) != nil {
+		s.mu.Lock()
+		s.stats.VerifyFailures++
+		s.mu.Unlock()
+		return false
+	}
+	s.admit(key, sol, !s.verify)
+	return true
+}
+
 // Admit inserts an externally computed solution under its problem hash —
 // the receiving half of cluster replication. The solution enters the
 // in-memory LRU and, when configured, the persistent store, exactly as
 // if this Service's own solver had produced it. Admit checks neither the
 // key nor the solution: it trusts its caller as SolveKeyed trusts its
 // key, so only trusted peers may reach it. Under ServiceOptions.Verify,
-// CopyHit verifies the entry on its first hit.
+// CopyHit or PeekCopy verifies the entry on its first use.
 func (s *Service) Admit(key string, sol Solution) {
+	s.admit(key, sol, true)
+}
+
+// admit is Admit with the entry's unverified mark given.
+func (s *Service) admit(key string, sol Solution, unverified bool) {
 	sol.Cached = false
 	if e, ok := newLRUEntry(key, sol); ok {
-		e.unverified = true
+		e.unverified = unverified
 		s.mu.Lock()
 		s.cache.add(e)
 		s.mu.Unlock()

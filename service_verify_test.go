@@ -186,46 +186,13 @@ func TestServiceVerifyCleanPath(t *testing.T) {
 // and one failure is counted; a sound copy is served to every caller.
 // Without Verify the bad copy is served as it is.
 func TestCopyHitVerifiesAdmittedCopies(t *testing.T) {
-	g, err := mwl.GenerateRandom(mwl.RandomConfig{N: 12, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lmin, err := mwl.MinLambda(g, mwl.DefaultLibrary())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := mwl.Problem{Graph: g, Lambda: lmin + 3}
-	key, err := p.Hash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	good, err := mwl.Solve(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bad mwl.Solution
-	blob, _ := json.Marshal(good)
-	if err := json.Unmarshal(blob, &bad); err != nil {
-		t.Fatal(err)
-	}
-	bad.Area++
+	p, key, good, bad := copyFixture(t)
 	hits := func(svc *mwl.Service) int {
 		t.Helper()
-		const callers = 8
-		served := make(chan bool, callers)
-		for i := 0; i < callers; i++ {
-			go func() {
-				_, _, ok := svc.CopyHit(key, p)
-				served <- ok
-			}()
-		}
-		n := 0
-		for i := 0; i < callers; i++ {
-			if <-served {
-				n++
-			}
-		}
-		return n
+		return concurrently(8, func() bool {
+			_, _, ok := svc.CopyHit(key, p)
+			return ok
+		})
 	}
 
 	svc := mwl.NewServiceWith(mwl.ServiceOptions{Workers: 1, Verify: true})
@@ -248,5 +215,96 @@ func TestCopyHitVerifiesAdmittedCopies(t *testing.T) {
 	plain.Admit(key, bad)
 	if n := hits(plain); n != 8 {
 		t.Fatalf("without Verify the copy was served %d of 8 times", n)
+	}
+}
+
+// copyFixture returns a problem, its key, its solution and a copy of
+// the solution with a wrong area.
+func copyFixture(t *testing.T) (p mwl.Problem, key string, good, bad mwl.Solution) {
+	t.Helper()
+	g, err := mwl.GenerateRandom(mwl.RandomConfig{N: 12, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lmin, err := mwl.MinLambda(g, mwl.DefaultLibrary())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p = mwl.Problem{Graph: g, Lambda: lmin + 3}
+	if key, err = p.Hash(); err != nil {
+		t.Fatal(err)
+	}
+	if good, err = mwl.Solve(context.Background(), p); err != nil {
+		t.Fatal(err)
+	}
+	blob, _ := json.Marshal(good)
+	if err := json.Unmarshal(blob, &bad); err != nil {
+		t.Fatal(err)
+	}
+	bad.Area++
+	return p, key, good, bad
+}
+
+// concurrently runs f on n goroutines at once and counts the calls
+// that reported true.
+func concurrently(n int, f func() bool) int {
+	done := make(chan bool, n)
+	for i := 0; i < n; i++ {
+		go func() { done <- f() }()
+	}
+	count := 0
+	for i := 0; i < n; i++ {
+		if <-done {
+			count++
+		}
+	}
+	return count
+}
+
+// TestFailoverCopiesVerified: the two copies a replica serves for a
+// down owner are checked under Verify, from several goroutines at
+// once. PeekCopy serves an Admitted copy only once it verifies,
+// dropping a bad one, and counts no cache hit; AdmitFor refuses a bad
+// fetched copy and inserts a sound one as verified. Without Verify
+// both serve and insert the bad copy as they are.
+func TestFailoverCopiesVerified(t *testing.T) {
+	p, key, good, bad := copyFixture(t)
+	peeks := func(svc *mwl.Service) int {
+		return concurrently(8, func() bool {
+			_, ok := svc.PeekCopy(key, p)
+			return ok
+		})
+	}
+
+	svc := mwl.NewServiceWith(mwl.ServiceOptions{Workers: 1, Verify: true})
+	svc.Admit(key, bad)
+	if n := peeks(svc); n != 0 {
+		t.Fatalf("bad copy peeked %d times under Verify", n)
+	}
+	if st := svc.CacheStats(); st.VerifyFailures != 1 || st.Entries != 0 {
+		t.Fatalf("after the bad copy: %+v, want 1 verify failure and no entry", st)
+	}
+	if n := concurrently(8, func() bool { return svc.AdmitFor(key, p, bad) }); n != 0 {
+		t.Fatalf("bad fetched copy admitted %d times under Verify", n)
+	}
+	if st := svc.CacheStats(); st.VerifyFailures != 9 || st.Entries != 0 {
+		t.Fatalf("after the bad fetched copies: %+v, want 9 verify failures and no entry", st)
+	}
+	if n := concurrently(8, func() bool { return svc.AdmitFor(key, p, good) }); n != 8 {
+		t.Fatalf("sound fetched copy admitted %d of 8 times", n)
+	}
+	if n := peeks(svc); n != 8 {
+		t.Fatalf("sound copy peeked %d of 8 times", n)
+	}
+	if st := svc.CacheStats(); st.VerifyFailures != 9 || st.Hits != 0 {
+		t.Fatalf("after the sound copy: %+v, want 9 verify failures and no hit", st)
+	}
+
+	plain := mwl.NewServiceWith(mwl.ServiceOptions{Workers: 1})
+	if !plain.AdmitFor(key, p, bad) {
+		t.Fatal("without Verify the fetched copy was refused")
+	}
+	if n := peeks(plain); n != 8 {
+		t.Fatalf("without Verify the copy was peeked %d of 8 times", n)
 	}
 }
