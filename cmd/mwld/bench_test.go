@@ -87,7 +87,7 @@ func BenchmarkServe(b *testing.B) {
 			if !ok {
 				b.Fatal("owner holds no answer to copy")
 			}
-			peer.svc.Admit(key, sol)
+			peer.svc.Admit(key, sol, nil)
 		}
 		post(c.url, c.body) // warm the cache and the keep-alive connections
 		b.Run(c.name, func(b *testing.B) {

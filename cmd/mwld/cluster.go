@@ -40,11 +40,11 @@ const defaultRelayLimit = 64 << 20
 // exactly one replica — rendezvous hashing of Problem.Hash() over the
 // shared peer list — so each problem is computed (and cached, and
 // persisted) once cluster-wide. The owner solves locally; every other
-// replica answers from its cache when it holds a copy (copyHit), and
-// otherwise proxies the solve to the first live replica in the key's
-// rank order and relays the result, falling back to a local solve
-// (preceded by a read-through of the ranked replicas' stores) when no
-// owner is reachable.
+// replica answers from its cache when it holds a copy, and otherwise
+// proxies the solve to the first live replica in the key's rank order
+// and relays the result, falling back to a local solve (preceded by a
+// read-through of the ranked replicas' stores) when no owner is
+// reachable. route makes that decision for every solve endpoint.
 type cluster struct {
 	ring   *shard.Ring
 	self   string
@@ -172,44 +172,32 @@ func (c *cluster) target(key string) string {
 	return c.ring.First(key, c.alive)
 }
 
-// routeCounters records the owned/fallback/rerouted counter movement of
-// one routed request that is about to be answered locally.
-func (c *cluster) routeCounters(target, trueOwner string) {
-	if trueOwner != "" && target != trueOwner {
-		c.rerouted.Add(1)
+// serveLocal answers p, whose canonical hash is key, on this replica:
+// from the entry it holds, else — when another replica owns p (this one
+// acts for a down owner, or a forward landed here) — from a copy read
+// through the live ranked replicas, else by SolveKeyed, which reads the
+// store before it solves. A replica dying thus triggers no
+// recomputation storm for the keys it already solved and replicated.
+// Service.Hit and Service.Admit check both copies against p under
+// -verify, and one that fails is solved afresh. hit, the stored
+// response bytes, is set when a held entry answered. c may be nil: a
+// single replica reads nothing through.
+func (c *cluster) serveLocal(ctx context.Context, svc *mwl.Service, key string, p mwl.Problem) (sol mwl.Solution, hit []byte, err error) {
+	if sol, hit, ok := svc.Hit(key, &p); ok {
+		return sol, hit, nil
 	}
-	if target == c.self {
-		if trueOwner == c.self {
-			c.owned.Add(1)
-		} else {
-			c.fallback.Add(1)
+	if c != nil {
+		if owner := c.owner(key); owner != "" && owner != c.self {
+			if sol, ok := c.readThrough(ctx, key); ok && svc.Admit(key, sol, &p) {
+				c.readHits.Add(1)
+				sol.Cached = true
+				return sol, nil, nil
+			}
+			c.readMisses.Add(1)
 		}
 	}
-}
-
-// serveLocal answers p, whose canonical hash is key, on this replica.
-// When this replica is not the problem's true owner (it is acting for a
-// down owner, or a forward landed here), the ranked replicas' stores are
-// read through before any local compute: first the local cache/store,
-// then the live peers in rank order via the internal fetch endpoint — so
-// a replica dying does not trigger a recomputation storm for the keys it
-// already solved and replicated. Under -verify both copies are checked
-// against p first (Service.PeekCopy, Service.AdmitFor), and one that
-// fails is solved afresh.
-func (c *cluster) serveLocal(ctx context.Context, svc *mwl.Service, key string, p mwl.Problem) (mwl.Solution, error) {
-	if trueOwner := c.owner(key); trueOwner != "" && trueOwner != c.self {
-		if sol, ok := svc.PeekCopy(key, p); ok {
-			sol.Cached = true
-			return sol, nil
-		}
-		if sol, ok := c.readThrough(ctx, key); ok && svc.AdmitFor(key, p, sol) {
-			c.readHits.Add(1)
-			sol.Cached = true
-			return sol, nil
-		}
-		c.readMisses.Add(1)
-	}
-	return svc.SolveKeyed(ctx, key, p)
+	sol, err = svc.SolveKeyed(ctx, key, p)
+	return sol, nil, err
 }
 
 // readThrough asks every live ranked peer, owner-first, for its stored
@@ -265,67 +253,56 @@ func (c *cluster) observeFailure(addr string) {
 	}
 }
 
-// keyedSolve answers one problem whose canonical hash the caller
-// already computed.
-type keyedSolve func(ctx context.Context, key string, p mwl.Problem) (mwl.Solution, error)
+// forwardFunc hands a request to target, the live replica that answers
+// it. relayed=false means target could not serve it right now and the
+// request is still to be answered; otherwise sol and err are target's
+// verdict, or — for a relay that wrote target's response itself —
+// unused.
+type forwardFunc func(target string) (sol mwl.Solution, err error, relayed bool)
 
-// solver returns the per-problem solve function for batch endpoints:
-// problems are answered by the first live ranked replica — locally when
-// that is us, otherwise from a copy held here or forwarded with a
-// read-through-then-recompute fallback. SolveBatchVia bounds the
-// fan-out either way.
-func (c *cluster) solver(svc *mwl.Service) keyedSolve {
-	return func(ctx context.Context, key string, p mwl.Problem) (mwl.Solution, error) {
+// route answers p, whose canonical hash is key, the one way both solve
+// endpoints do. A routed request (routed: not one a peer already
+// forwarded here) goes to the first live replica in the key's rank
+// order: answered here when that is this replica, otherwise from a copy
+// held here, else handed to forward, falling back to a local answer
+// when the target cannot serve it. Every local answer is serveLocal's.
+// hit, the stored response bytes, is set when a held entry answered; a
+// relayed request returns forward's verdict. c is nil in
+// single-replica mode, where no request is routed.
+func (c *cluster) route(ctx context.Context, svc *mwl.Service, key string, p mwl.Problem, routed bool, forward forwardFunc) (sol mwl.Solution, hit []byte, err error) {
+	if routed {
 		trueOwner := c.owner(key)
-		target := c.target(key)
-		if target == "" || target == c.self {
-			c.routeCounters(target, trueOwner)
-			return c.serveLocal(ctx, svc, key, p)
+		if target := c.target(key); target != "" && target != c.self {
+			// Cache entries are immutable and keyed by the problem's
+			// content hash, so a copy held here — replicated, or cached by
+			// an earlier fallback — is the answer target would relay, at
+			// the price of a lookup instead of a round trip. It counts a
+			// copy hit and no routing counter: no routing happened.
+			if sol, hit, ok := svc.Hit(key, &p); ok {
+				c.copyHits.Add(1)
+				return sol, hit, nil
+			}
+			if target != trueOwner {
+				c.rerouted.Add(1)
+			}
+			if sol, err, relayed := forward(target); relayed {
+				return sol, nil, err
+			}
+			if ctx.Err() != nil {
+				return mwl.Solution{}, nil, ctx.Err()
+			}
+			c.fallback.Add(1)
+		} else if target == c.self {
+			if trueOwner == c.self {
+				c.owned.Add(1)
+			} else {
+				// Acting for a down owner, routed past it.
+				c.rerouted.Add(1)
+				c.fallback.Add(1)
+			}
 		}
-		if sol, _, ok := c.copyHit(svc, key, p); ok {
-			return sol, nil
-		}
-		if target != trueOwner {
-			c.rerouted.Add(1)
-		}
-		sol, err, relayed := c.forwardSolve(ctx, target, key, p)
-		if relayed {
-			c.forwarded.Add(1)
-			return sol, err
-		}
-		if ctx.Err() != nil {
-			return mwl.Solution{}, ctx.Err()
-		}
-		c.fallback.Add(1)
-		return c.serveLocal(ctx, svc, key, p)
 	}
-}
-
-// copyHit answers key, which another replica answers, from this
-// replica's cache: the copy replication put there, or the answer an
-// earlier fallback solve cached. Cache entries are immutable and keyed
-// by the problem's content hash, so the copy is the answer the other
-// replica would relay — at the price of a cache lookup instead of a
-// round trip. It counts a Service cache hit and a copy hit, and none of
-// the routing counters: no routing happened. Under -verify a copy is
-// verified against p on its first hit (Service.CopyHit), and one that
-// fails misses.
-func (c *cluster) copyHit(svc *mwl.Service, key string, p mwl.Problem) (sol mwl.Solution, hit []byte, ok bool) {
-	sol, hit, ok = svc.CopyHit(key, p)
-	if ok {
-		c.copyHits.Add(1)
-	}
-	return sol, hit, ok
-}
-
-// localSolver is the batch solve function for requests a peer already
-// forwarded here: never forwarded onward, but still read-through-aware,
-// so a forward that lands on a non-owner (the owner died) serves the
-// replicated copy instead of recomputing.
-func (c *cluster) localSolver(svc *mwl.Service) keyedSolve {
-	return func(ctx context.Context, key string, p mwl.Problem) (mwl.Solution, error) {
-		return c.serveLocal(ctx, svc, key, p)
-	}
+	return c.serveLocal(ctx, svc, key, p)
 }
 
 // unavailableStatus reports whether an HTTP status from a peer means
@@ -337,13 +314,19 @@ func unavailableStatus(code int) bool {
 }
 
 // forwardSolve proxies one problem, with its canonical hash key, to
-// target's /v1/solve. relayed reports whether the target answered
-// usefully: a transport failure (connection refused, mid-restart,
+// target's /v1/solve — route's forwardFunc for batch members. relayed
+// reports whether the target answered usefully, and counts the request
+// as forwarded: a transport failure (connection refused, mid-restart,
 // truncated response) or an unavailable status (draining, shedding)
 // returns relayed=false and the caller solves locally; any other
 // HTTP-level answer — success or error — is the target's verdict and is
 // returned as-is.
 func (c *cluster) forwardSolve(ctx context.Context, target, key string, p mwl.Problem) (sol mwl.Solution, err error, relayed bool) {
+	defer func() {
+		if relayed {
+			c.forwarded.Add(1)
+		}
+	}()
 	blob, err := json.Marshal(p)
 	if err != nil {
 		return mwl.Solution{}, err, false
@@ -407,11 +390,12 @@ func setRelayHeaders(req *http.Request, self, key string) {
 
 // relay proxies a single-solve request body, with its canonical hash
 // key, to target and copies the response — status, headers that matter,
-// body — back to the client verbatim, counting it as forwarded. Returns
-// false when the target is unreachable, draining or shedding, in which
-// case nothing has been written and the caller falls back to a local
-// solve. A requesting client that disconnected mid-relay is answered 499
-// without touching the forwarded counter: nothing reached anyone.
+// body — back to the client verbatim, counting it as forwarded: route's
+// forwardFunc for single solves. Returns false when the target is
+// unreachable, draining or shedding, in which case nothing has been
+// written and the caller falls back to a local solve. A requesting
+// client that disconnected mid-relay is answered 499 without touching
+// the forwarded counter: nothing reached anyone.
 func (c *cluster) relay(w http.ResponseWriter, r *http.Request, target, key string, body []byte) bool {
 	req, err := http.NewRequestWithContext(r.Context(), "POST", target+"/v1/solve", bytes.NewReader(body))
 	if err != nil {

@@ -33,7 +33,7 @@ func solveWithCopy(t *testing.T, owner, peer *replica, p mwl.Problem) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	peer.svc.Admit(key, sol)
+	peer.svc.Admit(key, sol, nil)
 	return key
 }
 
@@ -188,8 +188,9 @@ func TestNoCopyStillRelays(t *testing.T) {
 }
 
 // TestForwardedRequestIgnoresCopyHits: a request a peer already
-// forwarded is answered locally as before — from the copy through the
-// read-through path, which counts neither a cache hit nor a copy hit.
+// forwarded is answered locally as before, from the copy — through the
+// one Service.Hit every held answer goes through, which counts a cache
+// hit, but no copy hit: no routing decision was made here.
 func TestForwardedRequestIgnoresCopyHits(t *testing.T) {
 	owner, peer, pick := copyCluster(t)
 	p := pick(owner)
@@ -215,8 +216,10 @@ func TestForwardedRequestIgnoresCopyHits(t *testing.T) {
 	if !bytes.Equal(mustJSON(t, sol), mustJSON(t, want)) {
 		t.Fatalf("forwarded request answered %+v, want the copy", sol)
 	}
-	if after := snapshot(owner, peer); after != before {
-		t.Fatalf("forwarded request moved counters: %+v, want %+v", after, before)
+	moved := before
+	moved.peerHits++
+	if after := snapshot(owner, peer); after != moved {
+		t.Fatalf("forwarded request moved counters: %+v, want %+v", after, moved)
 	}
 }
 
@@ -289,7 +292,7 @@ func TestCopyHitVerifiedUnderVerify(t *testing.T) {
 		p := pick(owner)
 		key := solveWithCopy(t, owner, peer, p)
 		good, _ := owner.svc.Peek(key)
-		peer.svc.Admit(key, narrowed(t, p, good))
+		peer.svc.Admit(key, narrowed(t, p, good), nil)
 		return p
 	}
 	// wantRefused checks that n bad copies were refused and relayed: no
@@ -428,7 +431,7 @@ func TestFailoverCopyVerifiedUnderVerify(t *testing.T) {
 				if i == 1 {
 					holder, path = third, "read-through copy"
 				}
-				holder.svc.Admit(key, narrowed(t, p, good))
+				holder.svc.Admit(key, narrowed(t, p, good), nil)
 
 				before := acting.svc.CacheStats()
 				resp, got := postProblem(t, acting.url, p)
@@ -447,6 +450,68 @@ func TestFailoverCopyVerifiedUnderVerify(t *testing.T) {
 					t.Fatalf("%s: without -verify got cached=%v, verify error %v, misses %d → %d; want the copy served",
 						path, got.Cached, verr, before.Misses, after.Misses)
 				}
+			}
+		})
+	}
+}
+
+// TestOwnerCopyVerifiedUnderVerify: a key's owner can hold a copy a
+// peer replicated to it — a shedding owner receives the fallback
+// solver's copy. Under -verify, a copy Admitted on the owner with one
+// wrong operand width is refused on the owner's single, relayed-key,
+// batch and stream paths alike: dropped, counted as a verify failure,
+// and solved afresh. Without -verify the copy is served as it is.
+func TestOwnerCopyVerifiedUnderVerify(t *testing.T) {
+	for _, verify := range []bool{false, true} {
+		t.Run(fmt.Sprintf("verify=%v", verify), func(t *testing.T) {
+			reps := startClusterWith(t, 2, mwl.ServiceOptions{Workers: 2, Verify: verify})
+			owner, peer, pick := reps[0], reps[1], problemPicker(t, reps)
+			for _, path := range []string{"single", "relayed", "batch", "stream"} {
+				p := pick(owner)
+				key, err := p.Hash()
+				if err != nil {
+					t.Fatal(err)
+				}
+				good, err := mwl.Solve(context.Background(), p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				owner.svc.Admit(key, narrowed(t, p, good), nil)
+
+				before := owner.svc.CacheStats()
+				var got *mwl.Solution
+				switch path {
+				case "single", "relayed":
+					url := owner.url
+					if path == "relayed" {
+						url = peer.url // no copy there: relayed to the owner with the key
+					}
+					resp, sol := postProblem(t, url, p)
+					if resp.StatusCode != http.StatusOK {
+						t.Fatalf("%s: status %d", path, resp.StatusCode)
+					}
+					got = &sol
+				default:
+					got = postProblems(t, owner.url+"/v1/solve/"+path, []mwl.Problem{p})[0]
+				}
+				if got == nil {
+					t.Fatalf("%s: no solution", path)
+				}
+				after := owner.svc.CacheStats()
+				verr := mwl.Verify(p, *got)
+				switch {
+				case verify && verr != nil:
+					t.Fatalf("%s: served under -verify: %v", path, verr)
+				case verify && (after.VerifyFailures != before.VerifyFailures+1 || after.Misses != before.Misses+1):
+					t.Fatalf("%s: verify failures %d → %d, misses %d → %d; want one refused copy and one solve",
+						path, before.VerifyFailures, after.VerifyFailures, before.Misses, after.Misses)
+				case !verify && (verr == nil || !got.Cached || after.Misses != before.Misses):
+					t.Fatalf("%s: without -verify got cached=%v, verify error %v, misses %d → %d; want the copy served",
+						path, got.Cached, verr, before.Misses, after.Misses)
+				}
+			}
+			if got := peer.cl.forwarded.Load(); got != 1 {
+				t.Fatalf("the relayed request was forwarded %d times, want 1", got)
 			}
 		})
 	}

@@ -79,7 +79,7 @@ func main() {
 		storeDir     = flag.String("store-dir", "", "persistent result store directory (empty = no persistence)")
 		peers        = flag.String("peers", "", "comma-separated replica addresses of the whole cluster, this one included (empty = single replica)")
 		self         = flag.String("self", "", "this replica's address exactly as it appears in -peers")
-		verify       = flag.Bool("verify", false, "validate every solution with mwl.Verify before serving; re-verify store entries on load")
+		verify       = flag.Bool("verify", false, "validate every solution with mwl.Verify before serving: fresh solves, store entries on load, and peers' copies on first use")
 		replicate    = flag.Int("replicate", 1, "copies of each solved entry across the cluster, the solver's own included (1 = no replication)")
 		healthEvery  = flag.Duration("health-interval", time.Second, "gap between peer health probes in cluster mode (0 = no active health checking)")
 		healthRTT    = flag.Duration("health-timeout", 500*time.Millisecond, "per-probe round-trip timeout")
@@ -257,20 +257,17 @@ func newHandler(cfg handlerConfig) http.Handler {
 		key, _ := p.Hash() // "" when p has no canonical hash: solved uncached
 		return key
 	}
-	// batchSolve is the per-problem solve of the batch endpoints:
-	// straight through the service, shard-routed in cluster mode, or —
-	// for requests a peer already forwarded here — a local solve that is
-	// still read-through-aware, so a forward rerouted past a dead owner
-	// serves the replicated copy instead of recomputing it.
+	// batchSolve is the per-problem solve of the batch endpoints: each
+	// member is routed as a single solve is (cluster.route), forwarded
+	// with forwardSolve, and a hit answers with its Solution.
 	batchSolve := func(r *http.Request) func(context.Context, mwl.Problem) (mwl.Solution, error) {
-		solve := keyedSolve(svc.SolveKeyed)
-		if routed(r) {
-			solve = cl.solver(svc)
-		} else if cl != nil {
-			solve = cl.localSolver(svc)
-		}
+		rt := routed(r)
 		return func(ctx context.Context, p mwl.Problem) (mwl.Solution, error) {
-			return solve(ctx, keyOf(p), p)
+			key := keyOf(p)
+			sol, _, err := cl.route(ctx, svc, key, p, rt, func(target string) (mwl.Solution, error, bool) {
+				return cl.forwardSolve(ctx, target, key, p)
+			})
+			return sol, err
 		}
 	}
 	// admitSize enforces the per-problem node cap; a violation is the
@@ -311,36 +308,22 @@ func newHandler(cfg handlerConfig) http.Handler {
 		return req, true
 	}
 
-	// writeSolve renders one solve outcome.
-	writeSolve := func(w http.ResponseWriter, sol mwl.Solution, err error) {
-		if err != nil {
-			writeError(w, solveStatus(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, sol)
-	}
-	// writeHit answers key from the cache with the response bytes the
-	// Service encoded when it cached the solution — the bytes writeSolve
-	// would write — and reports whether it did.
-	writeHit := func(w http.ResponseWriter, key string) bool {
-		_, blob, ok := svc.CacheHit(key)
-		if ok {
-			writeBody(w, http.StatusOK, blob)
-		}
-		return ok
-	}
 	mux.HandleFunc("POST /v1/solve", func(w http.ResponseWriter, r *http.Request) {
 		if !cfg.adm.admit(w, r) {
 			return
 		}
 		// A peer's relay carries the key it hashed. The owner reads its
 		// cache under that key before decoding anything; the key is
-		// never trusted further (see keyHeader).
+		// never trusted further (see keyHeader). Without the problem, a
+		// copy not yet verified misses here and is checked below.
 		relayKey := ""
 		if cl != nil && !routed(r) {
 			relayKey = r.Header.Get(keyHeader)
-			if cl.owner(relayKey) == cl.self && writeHit(w, relayKey) {
-				return
+			if cl.owner(relayKey) == cl.self {
+				if _, hit, ok := svc.Hit(relayKey, nil); ok {
+					writeBody(w, http.StatusOK, hit)
+					return
+				}
 			}
 		}
 		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
@@ -361,44 +344,23 @@ func newHandler(cfg handlerConfig) http.Handler {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("%s %q is not the problem's canonical hash", keyHeader, relayKey))
 			return
 		}
-		if cl == nil {
-			if writeHit(w, key) {
-				return
-			}
-			sol, err := svc.SolveKeyed(r.Context(), key, p)
-			writeSolve(w, sol, err)
-			return
+		// A hit answers with the response bytes the Service encoded when
+		// it cached the solution — the bytes writeJSON would write; a
+		// relay has written the target's response already.
+		relayed := false
+		sol, hit, err := cl.route(r.Context(), svc, key, p, routed(r), func(target string) (mwl.Solution, error, bool) {
+			relayed = cl.relay(w, r, target, key, body)
+			return mwl.Solution{}, nil, relayed
+		})
+		switch {
+		case relayed: // relay wrote the target's response
+		case hit != nil:
+			writeBody(w, http.StatusOK, hit)
+		case err != nil:
+			writeError(w, solveStatus(err), err)
+		default:
+			writeJSON(w, http.StatusOK, sol)
 		}
-		trueOwner := cl.owner(key)
-		if routed(r) && trueOwner != "" {
-			// Route to the first live ranked replica: the true owner when
-			// it is healthy, otherwise its failover successor — skipping a
-			// known-down owner before burning a connection timeout on it.
-			if target := cl.target(key); target != cl.self {
-				// Another replica answers this key, but a copy cached here
-				// is that replica's answer; see cluster.copyHit.
-				if _, blob, ok := cl.copyHit(svc, key, p); ok {
-					writeBody(w, http.StatusOK, blob)
-					return
-				}
-				if target != trueOwner {
-					cl.rerouted.Add(1)
-				}
-				if cl.relay(w, r, target, key, body) {
-					return
-				}
-				cl.fallback.Add(1)
-			} else {
-				cl.routeCounters(target, trueOwner)
-			}
-		}
-		// Answered after the routing counters, exactly where serveLocal
-		// would have counted the same hit.
-		if trueOwner == cl.self && writeHit(w, key) {
-			return
-		}
-		sol, err := cl.serveLocal(r.Context(), svc, key, p)
-		writeSolve(w, sol, err)
 	})
 	// The internal solution endpoints are the cluster's replication
 	// plane: peers PUT copies of freshly solved entries here, and a
@@ -444,7 +406,9 @@ func newHandler(cfg handlerConfig) http.Handler {
 			writeError(w, http.StatusBadRequest, errors.New("replicated solution has no datapath"))
 			return
 		}
-		svc.Admit(key, sol)
+		// Lazy replication: the copy is checked on its first use, when
+		// the problem it answers is at hand (Service.Hit).
+		svc.Admit(key, sol, nil)
 		w.WriteHeader(http.StatusNoContent)
 	})
 	mux.HandleFunc("POST /v1/solve/batch", func(w http.ResponseWriter, r *http.Request) {

@@ -272,7 +272,7 @@ func TestReadThroughFetchesRankedCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	holder.svc.Admit(key, sol)
+	holder.svc.Admit(key, sol, nil)
 
 	owner.srv.Close()
 	waitFor(t, "acting replica to mark the owner down", func() bool {

@@ -1,6 +1,7 @@
-// Tests for the replication hooks on Service: the OnSolved callback,
-// Peek/Admit (the cluster replication plane's local half), and the
-// queue-depth gauge behind admission control.
+// Tests for the replication hooks on Service: the OnSolved callback and
+// Peek/Admit, the cluster replication plane's local half. An Admitted
+// copy is served through Hit like any cache entry, by Solve too; under
+// Verify it is checked first (service_verify_test.go).
 package mwl_test
 
 import (
@@ -63,7 +64,9 @@ func TestAdmitAndPeek(t *testing.T) {
 	if _, ok := dst.Peek(key); ok {
 		t.Fatal("Peek hit on an empty service")
 	}
-	dst.Admit(key, sol)
+	if !dst.Admit(key, sol, nil) {
+		t.Fatal("Admit refused a copy without Verify")
+	}
 	got, ok := dst.Peek(key)
 	if !ok || got.Area != sol.Area {
 		t.Fatalf("Peek after Admit = (%+v, %v)", got, ok)

@@ -35,10 +35,11 @@ type ServiceOptions struct {
 	// diagnostic when a solver misbehaves, and store entries are
 	// re-verified once on load, so a corrupted-but-parseable entry (e.g.
 	// a bit-flipped area) is recomputed and repaired instead of served.
-	// Cache hits are not re-verified. Copies inserted with Admit (cluster
-	// replication) carry no problem to verify against: CopyHit and
-	// PeekCopy verify one on its first use, and AdmitFor verifies a
-	// fetched copy before inserting it.
+	// An entry the Service produced or loaded itself is not re-verified
+	// on a cache hit. A copy Admit inserts (cluster replication) is:
+	// before it is inserted when the caller holds its problem, otherwise
+	// on its first Hit, whichever path serves it — so no copy is served
+	// that has not passed Verify against the request's problem.
 	Verify bool
 	// OnSolved, when non-nil, is called after every fresh successful
 	// solve (cache hits, store hits and failures excluded) with the
@@ -138,12 +139,15 @@ func (s *Service) SolveKeyed(ctx context.Context, key string, p Problem) (Soluti
 
 	var e *memoEntry
 	for e == nil {
-		s.mu.Lock()
-		if hit, ok := s.hitLocked(key); ok {
-			s.mu.Unlock()
-			sol := hit.sol
-			sol.Cached = true
+		if sol, _, ok := s.Hit(key, &p); ok {
 			return sol, nil
+		}
+		s.mu.Lock()
+		if _, ok := s.cache.peek(key); ok {
+			// Cached since Hit looked, by a leader that finished or a
+			// peer's copy: serve it rather than solve again.
+			s.mu.Unlock()
+			continue
 		}
 		prior, ok := s.inflight[key]
 		if !ok {
@@ -224,86 +228,58 @@ func (s *Service) SolveKeyed(ctx context.Context, key string, p Problem) (Soluti
 	return sol, err
 }
 
-// CacheHit serves key from the in-memory LRU exactly as a Solve cache
-// hit does — it counts a hit and refreshes the entry's recency — and
-// returns the hit twice over: the solution with Cached set, as Solve
-// would return it, and the response body, the solution's compact JSON
-// encoding with Cached set, newline-terminated, encoded once when the
-// entry was cached. Both share the cached entry and must not be
-// modified. A miss counts nothing, so a caller can fall back to
-// SolveKeyed, which then counts the miss once.
-func (s *Service) CacheHit(key string) (sol Solution, hit []byte, ok bool) {
+// Hit serves key from the in-memory LRU — the one way any caller,
+// SolveKeyed included, is answered from a held entry. A hit counts a
+// cache hit and refreshes the entry's recency, and returns the entry
+// twice over: the solution with Cached set, as Solve would return it,
+// and the response body, the solution's compact JSON encoding with
+// Cached set, newline-terminated, encoded once when the entry was
+// cached. Both share the entry and must not be modified. A miss counts
+// nothing, so a caller can fall back to SolveKeyed, which then counts
+// the miss once.
+//
+// p is the problem key names, or nil when the caller has not decoded
+// it. Under ServiceOptions.Verify an entry Admit inserted without a
+// problem is checked with Verify against p on its first hit, so later
+// hits cost nothing; the entry served is the entry checked. One that
+// fails is dropped and counted in VerifyFailures, and with p nil such
+// an entry is not checked and misses.
+func (s *Service) Hit(key string, p *Problem) (sol Solution, hit []byte, ok bool) {
 	s.mu.Lock()
-	e, ok := s.hitLocked(key)
-	s.mu.Unlock()
-	if !ok {
-		return Solution{}, nil, false
-	}
-	sol = e.sol
-	sol.Cached = true
-	return sol, e.hit, true
-}
-
-// CopyHit is CacheHit for a key whose answer another replica owns,
-// served here from a copy; p is the problem key names. Under
-// ServiceOptions.Verify a copy Admit inserted is checked with Verify
-// against p on its first hit, so later hits cost nothing. A copy that
-// fails is dropped and counted in VerifyFailures, and CopyHit misses:
-// the caller relays instead.
-func (s *Service) CopyHit(key string, p Problem) (sol Solution, hit []byte, ok bool) {
-	if s.verify {
-		if _, ok := s.vouch(key, p); !ok {
+	defer s.mu.Unlock()
+	for {
+		e, ok := s.cache.peek(key)
+		if !ok || (e.unverified && p == nil) {
 			return Solution{}, nil, false
 		}
-	}
-	return s.CacheHit(key)
-}
-
-// vouch is CopyHit's check: it verifies an entry Admit inserted under
-// key against p, once, and returns the entry it checked (nil when key
-// is not cached). An entry that fails is dropped and counted in
-// VerifyFailures, and vouch reports false; an absent or already
-// verified entry passes.
-func (s *Service) vouch(key string, p Problem) (*lruEntry, bool) {
-	s.mu.Lock()
-	e, ok := s.cache.peek(key)
-	check := ok && e.unverified
-	s.mu.Unlock()
-	if !ok {
-		return nil, true
-	}
-	if !check {
-		return e, true
-	}
-	err := Verify(p, e.sol)
-	s.mu.Lock()
-	if err != nil {
-		// Concurrent first hits may all verify; one counts.
-		if s.cache.remove(e) {
-			s.stats.VerifyFailures++
+		if e.unverified {
+			s.mu.Unlock()
+			err := Verify(*p, e.sol)
+			s.mu.Lock()
+			if err != nil {
+				// Concurrent first hits may all verify; one counts. The
+				// key may hold another entry by now: look again.
+				if s.cache.remove(e) {
+					s.stats.VerifyFailures++
+				}
+				continue
+			}
+			e.unverified = false
 		}
-	} else {
-		e.unverified = false
-	}
-	s.mu.Unlock()
-	return e, err == nil
-}
-
-// hitLocked is the cache-hit step of SolveKeyed and CacheHit; s.mu must
-// be held.
-func (s *Service) hitLocked(key string) (*lruEntry, bool) {
-	e, ok := s.cache.get(key)
-	if ok {
+		s.cache.touch(e)
 		s.stats.Hits++
+		sol = e.sol
+		sol.Cached = true
+		return sol, e.hit, true
 	}
-	return e, ok
 }
 
 // Peek returns the cached or stored solution for a problem hash without
 // running a solver or waiting on one — the serving half of cluster
-// replication read-through. It does not count as a cache hit and does
-// not refresh LRU recency: a peer fetching a copy is not local workload
-// evidence.
+// replication read-through. It does not count as a cache hit, does not
+// refresh LRU recency, and does not verify: a peer fetching a copy is
+// not local workload evidence, and checks the copy against its own
+// problem when it admits it.
 func (s *Service) Peek(key string) (Solution, bool) {
 	s.mu.Lock()
 	e, ok := s.cache.peek(key)
@@ -317,55 +293,26 @@ func (s *Service) Peek(key string) (Solution, bool) {
 	return Solution{}, false
 }
 
-// PeekCopy is Peek for a replica answering p, whose hash is key, from a
-// copy instead of its own solve: for a down owner, or for a request a
-// peer forwarded. Without ServiceOptions.Verify it is Peek. Under
-// Verify it reads the in-memory LRU only, checking a copy Admit
-// inserted as CopyHit does, and leaves a stored entry to SolveKeyed,
-// which verifies it on load. Like Peek it counts no cache hit.
-func (s *Service) PeekCopy(key string, p Problem) (Solution, bool) {
-	if !s.verify {
-		return s.Peek(key)
-	}
-	e, ok := s.vouch(key, p)
-	if !ok || e == nil {
-		return Solution{}, false
-	}
-	return e.sol, true
-}
-
-// AdmitFor is Admit for a caller holding p, the problem key names: a
-// replica that fetched a peer's copy to answer p. Under
-// ServiceOptions.Verify the copy is verified against p first; one that
-// fails is counted in VerifyFailures and not admitted, and AdmitFor
-// reports false. Without Verify it is Admit and reports true.
-func (s *Service) AdmitFor(key string, p Problem, sol Solution) bool {
-	if s.verify && Verify(p, sol) != nil {
+// Admit inserts an externally computed solution under its problem hash:
+// a peer's copy, into the in-memory LRU and, when configured, the
+// persistent store, exactly as if this Service's own solver had
+// produced it. Admit checks neither the key nor, with p nil, the
+// solution: it trusts its caller as SolveKeyed trusts its key, so only
+// trusted peers may reach it. p is the problem key names when the
+// caller holds it — a replica that fetched the copy to answer p. Under
+// ServiceOptions.Verify a copy with p is checked against it first, and
+// one that fails is counted in VerifyFailures and not admitted, and
+// Admit reports false; a copy without p is checked on its first Hit.
+func (s *Service) Admit(key string, sol Solution, p *Problem) bool {
+	if s.verify && p != nil && Verify(*p, sol) != nil {
 		s.mu.Lock()
 		s.stats.VerifyFailures++
 		s.mu.Unlock()
 		return false
 	}
-	s.admit(key, sol, !s.verify)
-	return true
-}
-
-// Admit inserts an externally computed solution under its problem hash —
-// the receiving half of cluster replication. The solution enters the
-// in-memory LRU and, when configured, the persistent store, exactly as
-// if this Service's own solver had produced it. Admit checks neither the
-// key nor the solution: it trusts its caller as SolveKeyed trusts its
-// key, so only trusted peers may reach it. Under ServiceOptions.Verify,
-// CopyHit or PeekCopy verifies the entry on its first use.
-func (s *Service) Admit(key string, sol Solution) {
-	s.admit(key, sol, true)
-}
-
-// admit is Admit with the entry's unverified mark given.
-func (s *Service) admit(key string, sol Solution, unverified bool) {
 	sol.Cached = false
 	if e, ok := newLRUEntry(key, sol); ok {
-		e.unverified = unverified
+		e.unverified = s.verify && p == nil
 		s.mu.Lock()
 		s.cache.add(e)
 		s.mu.Unlock()
@@ -377,6 +324,7 @@ func (s *Service) admit(key string, sol Solution, unverified bool) {
 			s.mu.Unlock()
 		}
 	}
+	return true
 }
 
 // Queued reports how many solves are blocked waiting for a worker-pool

@@ -78,9 +78,9 @@ func TestServiceMemoizesIdenticalProblems(t *testing.T) {
 }
 
 // TestServiceKeyedSolveSharesTheMemo: SolveKeyed under p.Hash() and
-// Solve use one cache, and CacheHit counts a hit exactly as a Solve
-// cache hit does, and answers with the same solution, while a miss
-// counts nothing.
+// Solve use one cache, and Hit counts a hit exactly as a Solve cache
+// hit does, and answers with the same solution, while a miss counts
+// nothing.
 func TestServiceKeyedSolveSharesTheMemo(t *testing.T) {
 	svc := mwl.NewService(1)
 	g, err := mwl.GenerateRandom(mwl.RandomConfig{N: 9, Seed: 6})
@@ -92,20 +92,20 @@ func TestServiceKeyedSolveSharesTheMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := svc.CacheHit(key); ok {
-		t.Fatal("CacheHit on an empty cache")
+	if _, _, ok := svc.Hit(key, &p); ok {
+		t.Fatal("Hit on an empty cache")
 	}
 	if st := svc.CacheStats(); st.Hits != 0 || st.Misses != 0 {
-		t.Fatalf("a CacheHit miss moved the counters: %+v", st)
+		t.Fatalf("a Hit miss moved the counters: %+v", st)
 	}
 	before := countTestSolver.calls.Load()
 	first, err := svc.SolveKeyed(context.Background(), key, p)
 	if err != nil || first.Cached {
 		t.Fatalf("keyed solve: cached=%v err=%v", first.Cached, err)
 	}
-	hitSol, hit, ok := svc.CacheHit(key)
+	hitSol, hit, ok := svc.Hit(key, nil)
 	if !ok {
-		t.Fatal("CacheHit after the solve missed")
+		t.Fatal("Hit after the solve missed")
 	}
 	second, err := svc.Solve(context.Background(), p)
 	if err != nil || !second.Cached {
@@ -125,11 +125,11 @@ func TestServiceKeyedSolveSharesTheMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	if want = append(want, '\n'); !bytes.Equal(hit, want) {
-		t.Fatalf("CacheHit bytes\n%s\nwant\n%s", hit, want)
+		t.Fatalf("Hit bytes\n%s\nwant\n%s", hit, want)
 	}
 	// ... and hands back the solution Solve's own hit returns.
 	if !reflect.DeepEqual(hitSol, second) {
-		t.Fatalf("CacheHit solution %+v, want Solve's hit %+v", hitSol, second)
+		t.Fatalf("Hit solution %+v, want Solve's hit %+v", hitSol, second)
 	}
 	second.Cached = false
 	if !reflect.DeepEqual(first, second) {

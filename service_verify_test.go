@@ -1,15 +1,19 @@
 // Tests for Service-level verification (-verify): corrupted-but-
 // parseable store entries are detected and repaired instead of served,
-// and a misbehaving solver cannot get an illegal solution past the
-// Service.
+// a misbehaving solver cannot get an illegal solution past the Service,
+// and no Admitted copy is served before it passes Verify, whichever
+// path serves it.
 package mwl_test
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	mwl "repro"
@@ -181,29 +185,29 @@ func TestServiceVerifyCleanPath(t *testing.T) {
 	}
 }
 
-// TestCopyHitVerifiesAdmittedCopies: under Verify, concurrent copy hits
-// on an Admitted copy that fails Verify all miss, the copy is dropped
-// and one failure is counted; a sound copy is served to every caller.
+// TestCopyHitVerifiesAdmittedCopies: under Verify, concurrent hits on
+// an Admitted copy that fails Verify all miss, the copy is dropped and
+// one failure is counted; a sound copy is served to every caller.
 // Without Verify the bad copy is served as it is.
 func TestCopyHitVerifiesAdmittedCopies(t *testing.T) {
 	p, key, good, bad := copyFixture(t)
 	hits := func(svc *mwl.Service) int {
 		t.Helper()
 		return concurrently(8, func() bool {
-			_, _, ok := svc.CopyHit(key, p)
+			_, _, ok := svc.Hit(key, &p)
 			return ok
 		})
 	}
 
 	svc := mwl.NewServiceWith(mwl.ServiceOptions{Workers: 1, Verify: true})
-	svc.Admit(key, bad)
+	svc.Admit(key, bad, nil)
 	if n := hits(svc); n != 0 {
 		t.Fatalf("bad copy served %d times under Verify", n)
 	}
 	if st := svc.CacheStats(); st.VerifyFailures != 1 || st.Entries != 0 {
 		t.Fatalf("after the bad copy: %+v, want 1 verify failure and no entry", st)
 	}
-	svc.Admit(key, good)
+	svc.Admit(key, good, nil)
 	if n := hits(svc); n != 8 {
 		t.Fatalf("sound copy served %d of 8 times", n)
 	}
@@ -212,7 +216,7 @@ func TestCopyHitVerifiesAdmittedCopies(t *testing.T) {
 	}
 
 	plain := mwl.NewServiceWith(mwl.ServiceOptions{Workers: 1})
-	plain.Admit(key, bad)
+	plain.Admit(key, bad, nil)
 	if n := hits(plain); n != 8 {
 		t.Fatalf("without Verify the copy was served %d of 8 times", n)
 	}
@@ -263,48 +267,168 @@ func concurrently(n int, f func() bool) int {
 
 // TestFailoverCopiesVerified: the two copies a replica serves for a
 // down owner are checked under Verify, from several goroutines at
-// once. PeekCopy serves an Admitted copy only once it verifies,
-// dropping a bad one, and counts no cache hit; AdmitFor refuses a bad
-// fetched copy and inserts a sound one as verified. Without Verify
-// both serve and insert the bad copy as they are.
+// once. Hit serves an Admitted copy only once it verifies, dropping a
+// bad one, and counts a cache hit for each copy it serves; Admit with
+// the problem refuses a bad fetched copy and inserts a sound one as
+// verified. Without Verify both serve and insert the bad copy as they
+// are.
 func TestFailoverCopiesVerified(t *testing.T) {
 	p, key, good, bad := copyFixture(t)
-	peeks := func(svc *mwl.Service) int {
+	hits := func(svc *mwl.Service) int {
 		return concurrently(8, func() bool {
-			_, ok := svc.PeekCopy(key, p)
+			_, _, ok := svc.Hit(key, &p)
 			return ok
 		})
 	}
 
 	svc := mwl.NewServiceWith(mwl.ServiceOptions{Workers: 1, Verify: true})
-	svc.Admit(key, bad)
-	if n := peeks(svc); n != 0 {
-		t.Fatalf("bad copy peeked %d times under Verify", n)
+	svc.Admit(key, bad, nil)
+	if n := hits(svc); n != 0 {
+		t.Fatalf("bad copy served %d times under Verify", n)
 	}
 	if st := svc.CacheStats(); st.VerifyFailures != 1 || st.Entries != 0 {
 		t.Fatalf("after the bad copy: %+v, want 1 verify failure and no entry", st)
 	}
-	if n := concurrently(8, func() bool { return svc.AdmitFor(key, p, bad) }); n != 0 {
+	if n := concurrently(8, func() bool { return svc.Admit(key, bad, &p) }); n != 0 {
 		t.Fatalf("bad fetched copy admitted %d times under Verify", n)
 	}
 	if st := svc.CacheStats(); st.VerifyFailures != 9 || st.Entries != 0 {
 		t.Fatalf("after the bad fetched copies: %+v, want 9 verify failures and no entry", st)
 	}
-	if n := concurrently(8, func() bool { return svc.AdmitFor(key, p, good) }); n != 8 {
+	if n := concurrently(8, func() bool { return svc.Admit(key, good, &p) }); n != 8 {
 		t.Fatalf("sound fetched copy admitted %d of 8 times", n)
 	}
-	if n := peeks(svc); n != 8 {
-		t.Fatalf("sound copy peeked %d of 8 times", n)
+	// Admitted with its problem, the copy is verified already: a Hit
+	// without one serves it.
+	if _, _, ok := svc.Hit(key, nil); !ok {
+		t.Fatal("a copy verified on Admit missed a Hit without a problem")
 	}
-	if st := svc.CacheStats(); st.VerifyFailures != 9 || st.Hits != 0 {
-		t.Fatalf("after the sound copy: %+v, want 9 verify failures and no hit", st)
+	if n := hits(svc); n != 8 {
+		t.Fatalf("sound copy served %d of 8 times", n)
+	}
+	if st := svc.CacheStats(); st.VerifyFailures != 9 || st.Hits != 9 {
+		t.Fatalf("after the sound copy: %+v, want 9 verify failures and 9 hits", st)
 	}
 
 	plain := mwl.NewServiceWith(mwl.ServiceOptions{Workers: 1})
-	if !plain.AdmitFor(key, p, bad) {
+	if !plain.Admit(key, bad, &p) {
 		t.Fatal("without Verify the fetched copy was refused")
 	}
-	if n := peeks(plain); n != 8 {
-		t.Fatalf("without Verify the copy was peeked %d of 8 times", n)
+	if n := hits(plain); n != 8 {
+		t.Fatalf("without Verify the copy was served %d of 8 times", n)
+	}
+}
+
+// TestOwnerAdmittedCopyVerified: the owner of a key holds a copy a peer
+// replicated to it with a wrong area. Under Verify, a Hit without the
+// problem misses it, and Solve and SolveKeyed check it, drop it, count
+// one failure and solve afresh; the fresh answer is then a hit with or
+// without the problem. Without Verify the copy is served as it is.
+func TestOwnerAdmittedCopyVerified(t *testing.T) {
+	p, key, good, bad := copyFixture(t)
+	ctx := context.Background()
+	for name, solve := range map[string]func(*mwl.Service) (mwl.Solution, error){
+		"Solve":      func(svc *mwl.Service) (mwl.Solution, error) { return svc.Solve(ctx, p) },
+		"SolveKeyed": func(svc *mwl.Service) (mwl.Solution, error) { return svc.SolveKeyed(ctx, key, p) },
+	} {
+		svc := mwl.NewServiceWith(mwl.ServiceOptions{Workers: 1, Verify: true})
+		svc.Admit(key, bad, nil)
+		if _, _, ok := svc.Hit(key, nil); ok {
+			t.Fatalf("%s: a Hit without the problem served the unchecked copy", name)
+		}
+		if st := svc.CacheStats(); st.VerifyFailures != 0 || st.Hits != 0 || st.Entries != 1 {
+			t.Fatalf("%s: a Hit without the problem moved %+v; want the copy left for a check", name, st)
+		}
+		sol, err := solve(svc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mwl.Verify(p, sol); err != nil || sol.Cached || sol.Area != good.Area {
+			t.Fatalf("%s: served cached=%v area %d (%v); want a fresh solve of area %d", name, sol.Cached, sol.Area, err, good.Area)
+		}
+		if st := svc.CacheStats(); st.VerifyFailures != 1 || st.Misses != 1 || st.Hits != 0 {
+			t.Fatalf("%s: %+v, want 1 verify failure, 1 miss and no hit", name, st)
+		}
+		for _, q := range []*mwl.Problem{nil, &p} {
+			if sol, _, ok := svc.Hit(key, q); !ok || sol.Area != good.Area {
+				t.Fatalf("%s: the fresh answer missed a Hit (problem %v)", name, q != nil)
+			}
+		}
+
+		plain := mwl.NewServiceWith(mwl.ServiceOptions{Workers: 1})
+		plain.Admit(key, bad, nil)
+		if sol, err := solve(plain); err != nil || !sol.Cached || sol.Area != bad.Area {
+			t.Fatalf("%s without Verify: cached=%v area %d, %v; want the copy served", name, sol.Cached, sol.Area, err)
+		}
+	}
+}
+
+// TestHitServesTheEntryItChecked: under Verify, writers Admit a bad and
+// a sound copy of one key in turns while readers Hit it with the
+// problem. Every solution served passes Verify: a copy replaced between
+// its check and its serving is never what a Hit hands back.
+func TestHitServesTheEntryItChecked(t *testing.T) {
+	p, key, good, bad := copyFixture(t)
+	svc := mwl.NewServiceWith(mwl.ServiceOptions{Workers: 1, Verify: true})
+	const writers, readers, rounds = 2, 4, 200
+	var wg sync.WaitGroup
+	var served, refused atomic.Int64
+	done := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				svc.Admit(key, bad, nil)
+				svc.Admit(key, good, nil)
+			}
+		}()
+	}
+	errs := make(chan error, readers)
+	var rg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		rg.Add(1)
+		go func() {
+			defer rg.Done()
+			for {
+				select {
+				case <-done:
+					errs <- nil
+					return
+				default:
+				}
+				sol, hit, ok := svc.Hit(key, &p)
+				if !ok {
+					refused.Add(1)
+					continue
+				}
+				served.Add(1)
+				if err := mwl.Verify(p, sol); err != nil {
+					errs <- err
+					return
+				}
+				var wire mwl.Solution
+				if err := json.Unmarshal(hit, &wire); err != nil || wire.Area != sol.Area {
+					errs <- fmt.Errorf("hit bytes (area %d, %v) are not the solution served (area %d)", wire.Area, err, sol.Area)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(done)
+	rg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatalf("a Hit served a copy that fails Verify: %v", err)
+		}
+	}
+	if served.Load() == 0 {
+		t.Fatal("no Hit served the sound copy")
+	}
+	st := svc.CacheStats()
+	if st.Hits != uint64(served.Load()) {
+		t.Fatalf("%d hits counted for %d served", st.Hits, served.Load())
 	}
 }

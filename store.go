@@ -91,8 +91,8 @@ type lruEntry struct {
 	sol  Solution
 	hit  []byte // sol's compact JSON encoding with Cached set, plus '\n'
 	size int64
-	// unverified marks an entry Admit inserted that no Verify has
-	// checked yet; the Service's mutex guards it.
+	// unverified marks an entry Admit inserted, on a verifying Service,
+	// that no Verify has checked yet; the Service's mutex guards it.
 	unverified bool
 }
 
@@ -119,16 +119,6 @@ func newLRUCache(maxEntries int, maxBytes int64) *lruCache {
 	}
 }
 
-// get returns the cached entry and marks it most recently used.
-func (c *lruCache) get(key string) (*lruEntry, bool) {
-	el, ok := c.index[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*lruEntry), true
-}
-
 // peek returns the cached entry without refreshing its recency: a
 // replication fetch from a peer replica is not local workload evidence
 // and must not keep an otherwise-cold entry pinned in the LRU.
@@ -138,6 +128,14 @@ func (c *lruCache) peek(key string) (*lruEntry, bool) {
 		return nil, false
 	}
 	return el.Value.(*lruEntry), true
+}
+
+// touch marks e most recently used if it is still the entry cached
+// under its key.
+func (c *lruCache) touch(e *lruEntry) {
+	if el, ok := c.index[e.key]; ok && el.Value.(*lruEntry) == e {
+		c.ll.MoveToFront(el)
+	}
 }
 
 // remove drops e if it is still the entry cached under its key, and

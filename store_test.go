@@ -491,15 +491,15 @@ func TestCacheHitBytesEncodedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, hit, ok := svc.CacheHit(key)
+	_, hit, ok := svc.Hit(key, nil)
 	if !ok || !bytes.Equal(hit, hitBytes(t, sol)) {
 		t.Fatalf("solved entry: hit %v\n%s\nwant\n%s", ok, hit, hitBytes(t, sol))
 	}
 
 	admitted := mwl.Solution{Method: "test", Datapath: &mwl.Datapath{}, Area: 7, Cached: true}
 	other := strings.Repeat("ab", 32)
-	svc.Admit(other, admitted)
-	_, hit, ok = svc.CacheHit(other)
+	svc.Admit(other, admitted, nil)
+	_, hit, ok = svc.Hit(other, nil)
 	if !ok || !bytes.Equal(hit, hitBytes(t, admitted)) {
 		t.Fatalf("admitted entry: hit %v\n%s\nwant\n%s", ok, hit, hitBytes(t, admitted))
 	}
@@ -509,7 +509,7 @@ func TestCacheHitBytesEncodedOnce(t *testing.T) {
 }
 
 // TestEvictionAndClearReleaseHitBytes: an evicted or cleared entry no
-// longer answers CacheHit, and its charge leaves the byte count.
+// longer answers Hit, and its charge leaves the byte count.
 func TestEvictionAndClearReleaseHitBytes(t *testing.T) {
 	svc := mwl.NewServiceWith(mwl.ServiceOptions{Workers: 1, CacheEntries: 1})
 	ctx := context.Background()
@@ -526,18 +526,18 @@ func TestEvictionAndClearReleaseHitBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, ok := svc.CacheHit(keys[0]); ok {
-		t.Fatal("evicted entry still answers CacheHit")
+	if _, _, ok := svc.Hit(keys[0], nil); ok {
+		t.Fatal("evicted entry still answers Hit")
 	}
-	if _, _, ok := svc.CacheHit(keys[1]); !ok {
-		t.Fatal("warm entry misses CacheHit")
+	if _, _, ok := svc.Hit(keys[1], nil); !ok {
+		t.Fatal("warm entry misses Hit")
 	}
 	if got, want := svc.CacheStats().Bytes, chargedBytes(t, keys[1], last); got != want {
 		t.Fatalf("after eviction the cache holds %d bytes, want %d", got, want)
 	}
 	svc.ClearCache()
-	if _, _, ok := svc.CacheHit(keys[1]); ok {
-		t.Fatal("cleared entry still answers CacheHit")
+	if _, _, ok := svc.Hit(keys[1], nil); ok {
+		t.Fatal("cleared entry still answers Hit")
 	}
 	if st := svc.CacheStats(); st.Bytes != 0 || st.Entries != 0 {
 		t.Fatalf("after ClearCache: %d entries, %d bytes", st.Entries, st.Bytes)
