@@ -133,7 +133,12 @@ type Scratch struct {
 	cnt       []int
 	heap      entryHeap
 	cliques   []liveClique
-	merge     []wcg.Interval
+	// merge is the destination of the next clique-growth merge; spare
+	// holds the interval buffers of retired cliques for new cliques to
+	// fill, so a warm Scratch selects and grows cliques without
+	// allocating.
+	merge []wcg.Interval
+	spare [][]wcg.Interval
 }
 
 // SelectStats is the package-level SelectStats running in s. The
@@ -246,13 +251,13 @@ func (s *Scratch) SelectStats(g *wcg.Graph, start []int, opt Options) (*Binding,
 			heap.push(kindEntry{ki: e.ki, size: len(chain), cost: e.cost})
 			continue
 		}
-		k := liveClique{kind: e.ki, ivs: slices.Clone(chain)}
+		k := liveClique{kind: e.ki, ivs: append(s.spareChain(), chain...)}
 		for _, c := range chain {
 			covered[c.Op] = true
 			remaining--
 		}
 		if !opt.DisableGrowth {
-			cliques = grow(g, cliques, &k, &s.merge, &st)
+			cliques = s.grow(g, cliques, &k, &st)
 		}
 		cliques = append(cliques, k)
 		// The kind may still have uncovered (overlapping) operations and
@@ -276,8 +281,9 @@ func (s *Scratch) SelectStats(g *wcg.Graph, start []int, opt Options) (*Binding,
 		ops := flat[lo:len(flat):len(flat)]
 		slices.Sort(ops)
 		out[ci] = Clique{Kind: lc.kind, Ops: ops}
+		s.spare = append(s.spare, lc.ivs)
 	}
-	clear(cliques) // drop the interval chains for the collector
+	clear(cliques) // the chains now live in spare only
 	s.cliques = cliques[:0]
 	if !opt.DisableShrink {
 		for i := range out {
@@ -292,6 +298,19 @@ func (s *Scratch) SelectStats(g *wcg.Graph, start []int, opt Options) (*Binding,
 		}
 	}
 	return b, st, nil
+}
+
+// spareChain returns an empty interval buffer, a retired clique's when
+// there is one.
+func (s *Scratch) spareChain() []wcg.Interval {
+	n := len(s.spare)
+	if n == 0 {
+		return nil
+	}
+	c := s.spare[n-1][:0]
+	s.spare[n-1] = nil
+	s.spare = s.spare[:n-1]
+	return c
 }
 
 // liveClique is a clique under construction: the kind paid for and the
@@ -420,8 +439,8 @@ func (s *Scratch) sortByInterval(iv []wcg.Interval) []dfg.OpID {
 // time-compatible and all fit k's already-paid-for kind — Eqn. 4 holds
 // for the union on k.Kind, so the earlier resource rides along for free
 // and total area strictly decreases. Returns the surviving earlier
-// cliques.
-func grow(g *wcg.Graph, cliques []liveClique, k *liveClique, scratch *[]wcg.Interval, st *Stats) []liveClique {
+// cliques; a swallowed clique's buffer goes to s.spare.
+func (s *Scratch) grow(g *wcg.Graph, cliques []liveClique, k *liveClique, st *Stats) []liveClique {
 	kept := cliques[:0]
 	for _, old := range cliques {
 		// k's own members are compatible with k.kind by construction
@@ -433,9 +452,12 @@ func grow(g *wcg.Graph, cliques []liveClique, k *liveClique, scratch *[]wcg.Inte
 			kept = append(kept, old)
 			continue
 		}
-		if merged, ok := mergeChains(k.ivs, old.ivs, (*scratch)[:0]); ok {
-			*scratch = k.ivs // recycle the replaced chain as scratch
-			k.ivs = merged
+		// Sized for the whole union, the merge never outgrows s.merge.
+		s.merge = slices.Grow(s.merge[:0], len(k.ivs)+len(old.ivs))
+		if merged, ok := mergeChains(k.ivs, old.ivs, s.merge); ok {
+			// The replaced chain becomes the next merge's destination.
+			s.merge, k.ivs = k.ivs, merged
+			s.spare = append(s.spare, old.ivs)
 			st.Merges++
 			continue
 		}

@@ -26,6 +26,16 @@
 // that search over any ladder: the two-stage baselines and the pipelined
 // allocator run on it too, so blame is the one rule for which class
 // grows.
+//
+// A ladder refines its own clone of the search's compatibility graph and
+// keeps its per-round working memory in sched, bind and refine scratch.
+// Clone and scratch form a Workspace, which ladders take from a
+// package-level pool and return when they end: the configurations of a
+// solve, and the solves after it, refill the same buffers, so a warm
+// ladder allocates little beyond what its rounds return (a schedule and
+// a binding each) and the datapath it answers with. Reuse never shows in
+// an answer or its Stats (see Workspace for the two rules that ensure
+// it).
 package core
 
 import (
@@ -128,7 +138,51 @@ func AllocateCtx(ctx context.Context, d *dfg.Graph, lib *model.Library, lambda i
 	if workers := runtime.GOMAXPROCS(0); d.N() >= BatchMinOps && workers > 1 {
 		return s.speculative(ctx, workers, nil)
 	}
-	return s.sequential(ctx)
+	ws := AcquireWorkspace()
+	defer ws.Release()
+	return s.sequential(ctx, ws)
+}
+
+// Workspace is the working memory of one ladder: G, the clone of the
+// search's compatibility graph that the ladder refines, and the scratch
+// of the layers it runs. Workspaces come from a package-level pool and
+// go back when their ladders end (the one-at-a-time search keeps one for
+// all its ladders), so the configurations of one solve, and the solves
+// after it, refill the same buffers instead of allocating new ones. A
+// Workspace must not be used by two goroutines at once.
+//
+// Two rules keep reuse invisible in the answers. Start resets the
+// caches that recognise a graph by its address (the scheduling-set
+// replay of Sched and the victim queue of Refine): a refilled G keeps
+// its address but not its edges. And nothing a ladder returns may alias
+// the Workspace: layer results that cross a call (sched.Result,
+// bind.Binding) are freshly allocated, and a datapath copies what it
+// takes from them.
+type Workspace struct {
+	G      wcg.Graph
+	Sched  sched.Scratch
+	Bind   bind.Scratch
+	Refine refine.Scratch
+}
+
+var workspaces = sync.Pool{New: func() any { return new(Workspace) }}
+
+// AcquireWorkspace takes a Workspace from the pool.
+func AcquireWorkspace() *Workspace { return workspaces.Get().(*Workspace) }
+
+// Start begins a ladder in w on a clone of base.
+func (w *Workspace) Start(base *wcg.Graph) {
+	base.CloneInto(&w.G)
+	w.Sched.Reset()
+	w.Refine.Reset()
+}
+
+// Release returns w to the pool, dropping its references to the problem
+// it last served so that the pool does not keep that problem alive. w
+// must not be used afterwards.
+func (w *Workspace) Release() {
+	w.G.Release()
+	workspaces.Put(w)
 }
 
 // Ladder runs the ladder of one resource-bound configuration. An error
@@ -245,23 +299,30 @@ func (s *dpSearch) exhausted() error {
 	return fmt.Errorf("%w: λ=%d (λ_min may exceed it)", ErrInfeasible, s.lambda)
 }
 
-// sequential is Search over DPAlloc's ladder. Each ladder refines its
-// own clone of one compatibility graph.
-func (s *dpSearch) sequential(ctx context.Context) (*datapath.Datapath, Stats, error) {
+// sequential is Search over DPAlloc's ladder, every ladder run in ws on
+// its own clone of one compatibility graph.
+func (s *dpSearch) sequential(ctx context.Context, ws *Workspace) (*datapath.Datapath, Stats, error) {
 	var stats Stats
 	base, err := s.base()
 	if err != nil {
 		return nil, stats, err
 	}
-	dp, configs, err := run(ctx, s.search, func(ctx context.Context, limits sched.Limits) (*datapath.Datapath, error) {
-		return runLadder(ctx, base.Clone(), s.lambda, s.opt, limits, &stats)
-	})
+	dp, configs, err := run(ctx, s.search, s.ladder(base, ws, &stats))
 	stats.Configs = configs
 	if errors.Is(err, ErrInfeasible) {
 		// run ends on an infeasible ladder only when no class can grow.
 		err = s.exhausted()
 	}
 	return dp, stats, err
+}
+
+// ladder is DPAlloc's ladder run in ws on a clone of base, adding its
+// effort to stats.
+func (s *dpSearch) ladder(base *wcg.Graph, ws *Workspace, stats *Stats) Ladder[*datapath.Datapath] {
+	return func(ctx context.Context, limits sched.Limits) (*datapath.Datapath, error) {
+		ws.Start(base)
+		return runLadder(ctx, ws, s.lambda, s.opt, limits, stats)
+	}
 }
 
 // base builds the compatibility graph every ladder of the search starts
@@ -278,7 +339,7 @@ func (s *dpSearch) base() (*wcg.Graph, error) {
 }
 
 // speculative is sequential with up to workers configurations' ladders
-// running at once, each on its own clone of one compatibility graph.
+// running at once, each in its own Workspace.
 //
 // A ladder can only fail at the refinement fixpoint G_min, where no
 // operation is Reducible (given a victim policy that finds a reducible
@@ -305,8 +366,10 @@ func (s *dpSearch) speculative(ctx context.Context, workers int, skew func(sched
 	if err != nil {
 		return nil, stats, err
 	}
-	pred := predictor{s: s, g: base.Clone()}
-	pred.g.FullyRefine()
+	pred := predictor{s: s, ws: AcquireWorkspace()}
+	defer pred.ws.Release()
+	pred.ws.Start(base)
+	pred.ws.G.FullyRefine()
 
 	type result struct {
 		dp    *datapath.Datapath
@@ -344,8 +407,10 @@ func (s *dpSearch) speculative(ctx context.Context, workers int, skew func(sched
 			//mwlvet:allow boundedspawn -- at most GOMAXPROCS ladders in flight
 			go func() {
 				defer wg.Done()
+				ws := AcquireWorkspace()
+				defer ws.Release()
 				var st Stats
-				dp, err := runLadder(lctx, base.Clone(), s.lambda, s.opt, l.limits, &st)
+				dp, err := s.ladder(base, ws, &st)(lctx, l.limits)
 				l.done <- result{dp, st, err}
 			}()
 			spec, more = pred.next(spec)
@@ -386,21 +451,20 @@ func (s *dpSearch) speculative(ctx context.Context, workers int, skew func(sched
 // predictor forecasts the automatic search's chain of configurations on
 // the refinement fixpoint G_min.
 type predictor struct {
-	s     *dpSearch
-	g     *wcg.Graph // G_min, owned by the predictor
-	sched sched.Scratch
-	bind  bind.Scratch
+	s  *dpSearch
+	ws *Workspace // ws.G is G_min
 }
 
 // next returns the configuration the search tries after limits, on the
 // premise that limits fails, and false when limits is predicted to
 // succeed or the search would end there.
 func (p *predictor) next(limits sched.Limits) (sched.Limits, bool) {
-	r, err := p.sched.List(p.g, limits)
+	g := &p.ws.G
+	r, err := p.ws.Sched.List(g, limits)
 	switch {
 	case err == nil:
-		b, _, err := p.bind.SelectStats(p.g, r.Start, bindOptions(p.s.opt))
-		if err != nil || makespan(p.g, r.Start, b) <= p.s.lambda {
+		b, _, err := p.ws.Bind.SelectStats(g, r.Start, bindOptions(p.s.opt))
+		if err != nil || makespan(g, r.Start, b) <= p.s.lambda {
 			return nil, false
 		}
 		return p.s.next(ErrInfeasible, limits)
@@ -459,7 +523,10 @@ func allocateFixed(ctx context.Context, d *dfg.Graph, lib *model.Library, lambda
 	if err != nil {
 		return nil, err
 	}
-	return runLadder(ctx, g, lambda, opt, limits, stats)
+	ws := AcquireWorkspace()
+	defer ws.Release()
+	ws.Start(g)
+	return runLadder(ctx, ws, lambda, opt, limits, stats)
 }
 
 func bindOptions(opt Options) bind.Options {
@@ -467,8 +534,10 @@ func bindOptions(opt Options) bind.Options {
 }
 
 // runLadder runs the schedule/bind/refine ladder of one configuration on
-// g, which it refines in place, adding its effort to stats.
-func runLadder(ctx context.Context, g *wcg.Graph, lambda int, opt Options, limits sched.Limits, stats *Stats) (*datapath.Datapath, error) {
+// ws.G, which it refines in place, adding its effort to stats. The
+// ladder's rounds share ws's scratch.
+func runLadder(ctx context.Context, ws *Workspace, lambda int, opt Options, limits sched.Limits, stats *Stats) (*datapath.Datapath, error) {
+	g := &ws.G
 	d, lib := g.D, g.Lib
 	stats.Kinds = len(g.Kinds)
 
@@ -477,12 +546,7 @@ func runLadder(ctx context.Context, g *wcg.Graph, lambda int, opt Options, limit
 		pick = refine.ChooseVictim
 	}
 	bindOpt := bindOptions(opt)
-	// Per-round working memory, reused across the ladder's rounds.
-	var (
-		ss sched.Scratch
-		bs bind.Scratch
-		rs refine.Scratch
-	)
+	ss, bs, rs := &ws.Sched, &ws.Bind, &ws.Refine
 
 	// Refinement batch caps (see Options.RefineBatch). batchA is the
 	// fixed batch for Eqn. 3 deadlock rounds, which expose no distance

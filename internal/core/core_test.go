@@ -240,7 +240,7 @@ func TestAllocateCancellationAtScale(t *testing.T) {
 			return err
 		}},
 		{"sequential", func(ctx context.Context) error {
-			_, _, err := s.sequential(ctx)
+			_, _, err := s.sequential(ctx, new(Workspace))
 			return err
 		}},
 		{"speculative", func(ctx context.Context) error {

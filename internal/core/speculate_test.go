@@ -50,7 +50,7 @@ func TestSpeculativeSearchMatchesSequential(t *testing.T) {
 			for _, tenths := range []int{12, 20} {
 				lambda := lmin * tenths / 10
 				s := newDPSearch(g, lib, lambda, Options{})
-				want := outcome(s.sequential(context.Background()))
+				want := outcome(s.sequential(context.Background(), new(Workspace)))
 				variants := []struct {
 					workers int
 					skew    func(sched.Limits)

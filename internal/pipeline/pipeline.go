@@ -103,8 +103,11 @@ func AllocateCtx(ctx context.Context, d *dfg.Graph, lib *model.Library, lambda, 
 		pick = refine.ChooseVictim
 	}
 	period := max(1, min(ii, lambda))
+	ws := core.AcquireWorkspace()
+	defer ws.Release()
 	dp, _, err := core.Search(ctx, d, lib, period, func(ctx context.Context, limits sched.Limits) (*datapath.Datapath, error) {
-		return allocateFixed(ctx, base.Clone(), lib, lambda, ii, limits, pick, &stats)
+		ws.Start(base)
+		return allocateFixed(ctx, ws, lib, lambda, ii, limits, pick, &stats)
 	})
 	return dp, stats, err
 }
@@ -135,13 +138,11 @@ func buildWCG(d *dfg.Graph, lib *model.Library, ii int) (*wcg.Graph, error) {
 }
 
 // allocateFixed runs the schedule/bind/refine loop for one resource-
-// limit configuration. Its infeasibility errors wrap core.ErrInfeasible
-// too, which is what makes core.Search grow a class after them.
-func allocateFixed(ctx context.Context, g *wcg.Graph, lib *model.Library, lambda, ii int, limits sched.Limits, pick refine.Policy, stats *Stats) (*datapath.Datapath, error) {
-	var (
-		ss sched.Scratch
-		rs refine.Scratch
-	)
+// limit configuration on ws.G, which it refines in place. Its
+// infeasibility errors wrap core.ErrInfeasible too, which is what makes
+// core.Search grow a class after them.
+func allocateFixed(ctx context.Context, ws *core.Workspace, lib *model.Library, lambda, ii int, limits sched.Limits, pick refine.Policy, stats *Stats) (*datapath.Datapath, error) {
+	g, ss, rs := &ws.G, &ws.Sched, &ws.Refine
 	maxIters := g.NumHEdges() + 2
 	for iter := 0; iter < maxIters; iter++ {
 		if err := ctx.Err(); err != nil {

@@ -52,11 +52,24 @@ func BoundCriticalPath(g *wcg.Graph, start []int, b *bind.Binding) []dfg.OpID {
 //
 // Each buffer is reset with append(buf[:0], make([]T, n)...), which the
 // compiler turns into zeroing the reused capacity when it suffices.
+//
+// StepAll's victim queue recognises its graph by pointer and edge count.
+// Call Reset before using a Scratch on a graph that was refilled in
+// place (wcg.Graph.CloneInto) since then: the refilled graph has the old
+// address, and if its edge count happens to match, the queue would pick
+// victims from another graph's keys. Nothing a Scratch returns aliases
+// it.
 type Scratch struct {
 	ell, next, cnt, asap, alap []int
 	order, byStart             []dfg.OpID
 	crit, w, all               []dfg.OpID
 	queue                      victimQueue
+}
+
+// Reset makes s forget the graph its victim queue was loaded from,
+// keeping its buffers.
+func (s *Scratch) Reset() {
+	s.queue.g, s.queue.edges, s.queue.heap = nil, 0, s.queue.heap[:0]
 }
 
 // boundCriticalPath is BoundCriticalPath; the result aliases s.
@@ -305,13 +318,10 @@ func (s *Scratch) step(g *wcg.Graph, start []int, b *bind.Binding, lambda int, p
 
 // allOps returns the operation IDs 0, 1, …, n−1, cached in s.
 func (s *Scratch) allOps(n int) []dfg.OpID {
-	if len(s.all) != n {
-		s.all = make([]dfg.OpID, n)
-		for i := range s.all {
-			s.all[i] = dfg.OpID(i)
-		}
+	for len(s.all) < n {
+		s.all = append(s.all, dfg.OpID(len(s.all)))
 	}
-	return s.all
+	return s.all[:n]
 }
 
 // StepAll refines up to max(k, 1) victims chosen from the whole operation

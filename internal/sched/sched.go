@@ -204,6 +204,14 @@ func List(g *wcg.Graph, limits Limits) (Result, error) {
 //
 // Each buffer is reset with append(buf[:0], make([]T, n)...), which the
 // compiler turns into zeroing the reused capacity when it suffices.
+//
+// A Scratch recognises the graph of its last SchedulingSet by pointer
+// and replays that call's greedy on it. Call Reset before using it on a
+// graph that was refilled in place (wcg.Graph.CloneInto) since then: the
+// refilled graph has the old address but not the old edges, and
+// replaying a trace of other edges yields a wrong set or an
+// out-of-range kind. Nothing a Scratch returns aliases it, so a Result
+// outlives the next call and the Scratch's reuse.
 type Scratch struct {
 	acct      eqn3Acct
 	uncovered bitset.Set
@@ -214,6 +222,7 @@ type Scratch struct {
 	setTrace  []setStep
 	setBound  []int
 	sigOf     sigTable
+	classes   []model.OpType
 	sizes     []int
 	slotLimit []int64
 	prio      []int
@@ -224,6 +233,11 @@ type Scratch struct {
 	merged    []dfg.OpID
 	pending   pendHeap
 	running   intHeap
+}
+
+// Reset makes s forget the graph it last scheduled, keeping its buffers.
+func (s *Scratch) Reset() {
+	s.setG, s.setTrace = nil, s.setTrace[:0]
 }
 
 // List is the package-level List running in s. The Result does not
@@ -656,7 +670,7 @@ func (s *Scratch) eqn3Accountant(g *wcg.Graph, set []int, limits Limits, doom bo
 	a.mask, a.sOf, a.sig, a.sigLeft = nil, nil, nil, nil
 	// Per slot: the dense class index and limit of its class. Any member
 	// of S(o) names o's class, so per-op lookups reduce to slot lookups.
-	var classes []model.OpType
+	classes := s.classes[:0]
 	slotLimit := append(s.slotLimit[:0], make([]int64, len(set))...)
 	s.slotLimit = slotLimit
 	for si, ki := range set {
@@ -673,6 +687,7 @@ func (s *Scratch) eqn3Accountant(g *wcg.Graph, set []int, limits Limits, doom bo
 			slotLimit[si] = -1
 		}
 	}
+	s.classes = classes
 	a.classSum = append(a.classSum[:0], make([]int64, len(classes))...)
 	sizes := append(s.sizes[:0], make([]int, n)...)
 	s.sizes = sizes
@@ -917,8 +932,8 @@ func (a *eqn3Acct) loadAt(si, step int) int64 {
 }
 
 func (a *eqn3Acct) addLoad(si, step int, w int64) {
-	for step >= len(a.load[si]) {
-		a.load[si] = append(a.load[si], 0)
+	if row := a.load[si]; step >= len(row) {
+		a.load[si] = append(row, make([]int64, step+1-len(row))...)
 	}
 	a.load[si][step] += w
 }
@@ -934,18 +949,20 @@ type sigTable struct {
 	n     int  // signatures numbered so far
 }
 
-// reset empties the table and sizes it for n operations.
+// reset empties the table and sizes it for n operations, within the
+// capacity of earlier calls when it suffices.
 func (t *sigTable) reset(n int) {
 	size := 2
 	for size < 2*n {
 		size <<= 1
 	}
-	if len(t.keys) != size {
+	if cap(t.keys) < size {
 		t.keys, t.ids = make([]uint64, size), make([]int, size)
-		t.shift = uint(64 - bits.TrailingZeros(uint(size)))
 	} else {
+		t.keys, t.ids = t.keys[:size], t.ids[:size]
 		clear(t.keys)
 	}
+	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
 	t.n = 0
 }
 

@@ -1,6 +1,7 @@
 package wcg
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -249,4 +250,78 @@ func TestVictimTermsMaintainedQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestCloneIntoMatchesCloneQuick: one graph refilled by CloneInto from
+// graphs of random sizes, larger and smaller than its last, refined
+// between refills, equals a fresh Clone of each, and stays equal to it
+// under the same deletions while the source is left as it was.
+func TestCloneIntoMatchesCloneQuick(t *testing.T) {
+	lib := model.Default()
+	var c Graph
+	f := func(seed int64, n uint8) bool {
+		d, err := tgff.Generate(tgff.Config{N: 1 + int(n%70), Seed: seed})
+		if err != nil {
+			return false
+		}
+		base, err := Build(d, lib)
+		if err != nil {
+			return false
+		}
+		rnd := rand.New(rand.NewSource(seed ^ 0xc10e))
+		for i := rnd.Intn(d.N()); i > 0; i-- {
+			base.DeleteMaxLatencyEdges(dfg.OpID(rnd.Intn(d.N())))
+		}
+		before := base.Clone()
+		base.CloneInto(&c)
+		want := base.Clone()
+		for step := 0; ; step++ {
+			if msg := differ(&c, want); msg != "" {
+				t.Logf("seed %d, step %d: %s", seed, step, msg)
+				return false
+			}
+			if step == d.N() {
+				break
+			}
+			o := dfg.OpID(rnd.Intn(d.N()))
+			c.DeleteMaxLatencyEdges(o)
+			want.DeleteMaxLatencyEdges(o)
+		}
+		if msg := differ(base, before); msg != "" {
+			t.Logf("seed %d: refining the refill changed its source: %s", seed, msg)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// differ describes the first difference between the H edges and the
+// maintained state of a and b, or returns "".
+func differ(a, b *Graph) string {
+	if a.D != b.D || len(a.Kinds) != len(b.Kinds) || a.NumHEdges() != b.NumHEdges() {
+		return "different graph or edge count"
+	}
+	for o := 0; o < a.D.N(); o++ {
+		id := dfg.OpID(o)
+		if !slices.Equal(a.CompatKinds(id), b.CompatKinds(id)) ||
+			a.UpperLatency(id) != b.UpperLatency(id) || a.MinLatency(id) != b.MinLatency(id) ||
+			a.MaxLatencyKindCount(id) != b.MaxLatencyKindCount(id) || a.KindEdgeCount(id) != b.KindEdgeCount(id) {
+			return fmt.Sprintf("op %d differs", o)
+		}
+		for k := range a.Kinds {
+			if a.Compatible(id, k) != b.Compatible(id, k) {
+				return fmt.Sprintf("edge {%d, %d} differs", o, k)
+			}
+		}
+	}
+	for k := range a.Kinds {
+		if a.CompatOpCount(k) != b.CompatOpCount(k) || !slices.Equal(a.CompatOps(k), b.CompatOps(k)) ||
+			!slices.Equal(a.CompatOpBits(k), b.CompatOpBits(k)) {
+			return fmt.Sprintf("kind %d covers different operations", k)
+		}
+	}
+	return ""
 }

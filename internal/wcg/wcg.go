@@ -33,6 +33,7 @@ package wcg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/bitset"
@@ -73,6 +74,10 @@ type Graph struct {
 	// topo memoizes D.TopoOrder(): D is immutable for the lifetime of
 	// the compatibility graph, and the scheduler asks every iteration.
 	topo []dfg.OpID
+	// hBuf and bitBuf back every h[o] and every bit set, which only
+	// shrink in place or keep their size; CloneInto reuses them.
+	hBuf   []int
+	bitBuf []uint64
 }
 
 // TopoOrder returns a topological order of the bound sequencing graph,
@@ -126,12 +131,12 @@ func BuildWithKinds(d *dfg.Graph, lib *model.Library, kinds []model.Kind) (*Grap
 		}
 	}
 	n := d.N()
-	g.h = make([][]int, n)
+	// The bit sets share one backing array, and so do the kind lists
+	// once the edges are counted.
 	g.hBits = make([]bitset.Set, n)
 	g.opBits = make([]bitset.Set, len(kinds))
-	for ki := range kinds {
-		g.opBits[ki] = bitset.New(n)
-	}
+	g.bitBuf = make([]uint64, n*wordsOf(len(kinds))+len(kinds)*wordsOf(n))
+	g.carveBits()
 	g.ops = make([][]dfg.OpID, len(kinds))
 	g.opsDirty = make([]bool, len(kinds))
 	g.opCount = make([]int, len(kinds))
@@ -142,20 +147,27 @@ func BuildWithKinds(d *dfg.Graph, lib *model.Library, kinds []model.Kind) (*Grap
 	g.min = make([]int, n)
 	g.nmax = make([]int, n)
 	for _, o := range d.Ops() {
-		g.hBits[o.ID] = bitset.New(len(kinds))
+		covered := false
 		for ki, k := range kinds {
 			if k.Covers(o.Spec.Type, o.Spec.Sig) {
-				g.h[o.ID] = append(g.h[o.ID], ki)
 				g.hBits[o.ID].Add(ki)
 				g.opBits[ki].Add(int(o.ID))
 				g.opCount[ki]++
 				g.edges++
+				covered = true
 			}
 		}
-		if len(g.h[o.ID]) == 0 {
+		if !covered {
 			return nil, fmt.Errorf("wcg: operation %d (%v) has no covering kind", o.ID, o.Spec)
 		}
-		g.recomputeBounds(o.ID)
+	}
+	g.hBuf = make([]int, 0, g.edges)
+	g.h = make([][]int, n)
+	for o := range g.h {
+		lo := len(g.hBuf)
+		g.hBits[o].ForEach(func(ki int) { g.hBuf = append(g.hBuf, ki) })
+		g.h[o] = g.hBuf[lo:len(g.hBuf):len(g.hBuf)]
+		g.recomputeBounds(dfg.OpID(o))
 	}
 	return g, nil
 }
@@ -299,29 +311,91 @@ func (g *Graph) NumHEdges() int { return g.edges }
 // Clone returns a deep copy sharing the immutable sequencing graph,
 // library and kind set but with independent H edges.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		D: g.D, Lib: g.Lib, Kinds: g.Kinds, lat: g.lat,
-		upper: append([]int(nil), g.upper...),
-		min:   append([]int(nil), g.min...),
-		nmax:  append([]int(nil), g.nmax...),
-		edges: g.edges,
-		topo:  g.topo,
+	c := new(Graph)
+	g.CloneInto(c)
+	return c
+}
+
+// CloneInto makes c the deep copy Clone returns, reusing c's buffers: a
+// caller that refines many clones of one graph, or clones of many graphs
+// of one size, keeps one c and allocates only when a graph outgrows it.
+// c must not be g and must not share memory with a graph still in use;
+// its previous state is discarded.
+//
+// A refilled c keeps its address, so a consumer that recognises its last
+// graph by pointer (sched.Scratch, refine.Scratch) must be reset before
+// it sees c again.
+func (g *Graph) CloneInto(c *Graph) {
+	n, nk := len(g.h), len(g.opBits)
+	c.D, c.Lib, c.Kinds, c.lat, c.topo = g.D, g.Lib, g.Kinds, g.lat, g.topo
+	c.edges = g.edges
+	c.upper = append(c.upper[:0], g.upper...)
+	c.min = append(c.min[:0], g.min...)
+	c.nmax = append(c.nmax[:0], g.nmax...)
+	c.opCount = append(c.opCount[:0], g.opCount...)
+	// Kind lists only shrink in place and bit sets keep their size, so
+	// every list shares one backing array (Σ|h[o]| is the edge count) and
+	// every bit set another.
+	c.hBuf = slices.Grow(c.hBuf[:0], g.edges)
+	c.h = resize(c.h, n)
+	for o, ks := range g.h {
+		lo := len(c.hBuf)
+		c.hBuf = append(c.hBuf, ks...)
+		c.h[o] = c.hBuf[lo:len(c.hBuf):len(c.hBuf)]
 	}
-	c.h = make([][]int, len(g.h))
-	c.hBits = make([]bitset.Set, len(g.hBits))
-	for i := range g.h {
-		c.h[i] = append([]int(nil), g.h[i]...)
-		c.hBits[i] = g.hBits[i].Clone()
+	c.bitBuf = append(c.bitBuf[:0], g.bitBuf...)
+	c.hBits = resize(c.hBits, n)
+	c.opBits = resize(c.opBits, nk)
+	c.carveBits()
+	// Entries past the lengths may point into arrays that the buffers
+	// have outgrown; cleared, they keep nothing alive.
+	clear(c.h[n:cap(c.h)])
+	clear(c.hBits[n:cap(c.hBits)])
+	clear(c.opBits[nk:cap(c.opBits)])
+	// The O(r) caches keep their capacity and are rebuilt on first use.
+	c.ops = resize(c.ops, nk)
+	for k := range c.ops {
+		c.ops[k] = c.ops[k][:0]
 	}
-	c.opBits = make([]bitset.Set, len(g.opBits))
-	c.ops = make([][]dfg.OpID, len(g.opBits))
-	c.opsDirty = make([]bool, len(g.opBits))
-	c.opCount = append([]int(nil), g.opCount...)
-	for k := range g.opBits {
-		c.opBits[k] = g.opBits[k].Clone()
+	c.opsDirty = resize(c.opsDirty, nk)
+	for k := range c.opsDirty {
 		c.opsDirty[k] = true
 	}
-	return c
+}
+
+// carveBits points the bit sets at consecutive runs of bitBuf: every
+// hBits[o] (one bit per kind), then every opBits[k] (one bit per
+// operation). Bit sets change only in place, so bitBuf is always the
+// sets in that layout.
+func (g *Graph) carveBits() {
+	words := g.bitBuf
+	wk, wn := wordsOf(len(g.opBits)), wordsOf(len(g.hBits))
+	for o := range g.hBits {
+		g.hBits[o], words = words[:wk:wk], words[wk:]
+	}
+	for k := range g.opBits {
+		g.opBits[k], words = words[:wn:wn], words[wn:]
+	}
+}
+
+// wordsOf is the length of bitset.New(n).
+func wordsOf(n int) int { return (n + 63) / 64 }
+
+// resize returns s with length n, keeping its elements, including those
+// past its length, when its capacity suffices.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return append(s[:cap(s)], make([]T, n-cap(s))...)
+	}
+	return s[:n]
+}
+
+// Release drops g's references to its sequencing graph, library and kind
+// set, keeping only the buffers CloneInto reuses, so a graph held for
+// its buffers does not keep a finished problem alive. g is unusable
+// until the next CloneInto.
+func (g *Graph) Release() {
+	g.D, g.Lib, g.Kinds, g.lat, g.topo = nil, nil, nil, nil, nil
 }
 
 // Interval is a reserved execution interval [Start, End) of an operation.
