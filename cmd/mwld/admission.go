@@ -2,8 +2,6 @@ package main
 
 import (
 	"errors"
-	"fmt"
-	"io"
 	"math"
 	"net"
 	"net/http"
@@ -13,6 +11,7 @@ import (
 	"time"
 
 	mwl "repro"
+	"repro/internal/metrics"
 )
 
 // admission gates the solve endpoints: per-client token-bucket rate
@@ -149,12 +148,12 @@ func (rl *rateLimiter) evictStalest() {
 	delete(rl.clients, victim)
 }
 
-// writeMetrics appends the admission-control series to the Prometheus
-// exposition.
-func (a *admission) writeMetrics(w io.Writer) {
+// registerMetrics registers the admission-control families on r; a nil
+// gate registers none.
+func (a *admission) registerMetrics(r *metrics.Registry) {
 	if a == nil {
 		return
 	}
-	fmt.Fprintf(w, "# HELP mwld_admission_shed_total Requests refused with 503 because the worker queue exceeded the depth cap.\n# TYPE mwld_admission_shed_total counter\nmwld_admission_shed_total %d\n", a.shed.Load())
-	fmt.Fprintf(w, "# HELP mwld_ratelimited_total Requests refused with 429 by the per-client rate limit.\n# TYPE mwld_ratelimited_total counter\nmwld_ratelimited_total %d\n", a.limited.Load())
+	r.CounterFunc("mwld_admission_shed_total", "Requests refused with 503 because the worker queue exceeded the depth cap.", a.shed.Load)
+	r.CounterFunc("mwld_ratelimited_total", "Requests refused with 429 by the per-client rate limit.", a.limited.Load)
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	mwl "repro"
+	"repro/internal/metrics"
 	"repro/internal/shard"
 )
 
@@ -437,30 +438,22 @@ func (c *cluster) relay(w http.ResponseWriter, r *http.Request, target, key stri
 	return true
 }
 
-// writeShardMetrics appends the cluster routing counters to the
-// Prometheus exposition.
-func (c *cluster) writeShardMetrics(w io.Writer) {
-	counters := []struct {
-		name, help string
-		v          uint64
-	}{
-		{"mwld_shard_owned_total", "Solve requests handled locally because this replica owns the problem hash.", c.owned.Load()},
-		{"mwld_shard_forwarded_total", "Solve requests proxied to the owning replica.", c.forwarded.Load()},
-		{"mwld_shard_fallback_total", "Solve requests answered locally because the owning replica was unreachable.", c.fallback.Load()},
-		{"mwld_shard_rerouted_total", "Solve requests routed past a down owner to the next ranked replica before burning a connection timeout.", c.rerouted.Load()},
-		{"mwld_shard_copy_hits_total", "Solve requests another replica owns, answered from a copy in this replica's cache instead of relayed.", c.copyHits.Load()},
-		{"mwld_shard_relay_errors_total", "Relays that failed after the status line was written, handing the client a truncated response.", c.relayErrors.Load()},
-		{"mwld_readthrough_hits_total", "Fallback solves served from a ranked peer's store instead of recomputing.", c.readHits.Load()},
-		{"mwld_readthrough_misses_total", "Fallback read-throughs that found no replicated copy and recomputed locally.", c.readMisses.Load()},
-	}
-	for _, ct := range counters {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", ct.name, ct.help, ct.name, ct.name, ct.v)
-	}
-	fmt.Fprintf(w, "# HELP mwld_shard_replicas Replicas in the configured peer list.\n# TYPE mwld_shard_replicas gauge\nmwld_shard_replicas %d\n", c.ring.Len())
+// registerMetrics registers the cluster routing families on r, then
+// those of the health checker and the replicator when attached.
+func (c *cluster) registerMetrics(r *metrics.Registry) {
+	r.CounterFunc("mwld_shard_owned_total", "Solve requests handled locally because this replica owns the problem hash.", c.owned.Load)
+	r.CounterFunc("mwld_shard_forwarded_total", "Solve requests proxied to the owning replica.", c.forwarded.Load)
+	r.CounterFunc("mwld_shard_fallback_total", "Solve requests answered locally because the owning replica was unreachable.", c.fallback.Load)
+	r.CounterFunc("mwld_shard_rerouted_total", "Solve requests routed past a down owner to the next ranked replica before burning a connection timeout.", c.rerouted.Load)
+	r.CounterFunc("mwld_shard_copy_hits_total", "Solve requests another replica owns, answered from a copy in this replica's cache instead of relayed.", c.copyHits.Load)
+	r.CounterFunc("mwld_shard_relay_errors_total", "Relays that failed after the status line was written, handing the client a truncated response.", c.relayErrors.Load)
+	r.CounterFunc("mwld_readthrough_hits_total", "Fallback solves served from a ranked peer's store instead of recomputing.", c.readHits.Load)
+	r.CounterFunc("mwld_readthrough_misses_total", "Fallback read-throughs that found no replicated copy and recomputed locally.", c.readMisses.Load)
+	r.GaugeFunc("mwld_shard_replicas", "Replicas in the configured peer list.", func() int64 { return int64(c.ring.Len()) })
 	if c.health != nil {
-		c.health.writeMetrics(w)
+		c.health.registerMetrics(r)
 	}
 	if c.rep != nil {
-		c.rep.writeMetrics(w)
+		c.rep.registerMetrics(r)
 	}
 }

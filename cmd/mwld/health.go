@@ -2,13 +2,13 @@ package main
 
 import (
 	"context"
-	"fmt"
 	"hash/fnv"
 	"io"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // healthConfig tunes the cluster health checker.
@@ -50,10 +50,6 @@ type peerState struct {
 	fails  int // consecutive failures while up (or climbing back)
 	passes int // consecutive successes while down
 
-	probes      uint64 // total probes sent
-	failures    uint64 // total failed probes + request-path strikes
-	transitions uint64 // up<->down flips
-
 	backoff time.Duration // current probe gap while down
 }
 
@@ -74,6 +70,12 @@ type healthChecker struct {
 	mu    sync.Mutex
 	peers map[string]*peerState
 
+	// Per-peer series on /metrics: up (1) or down (0), observations
+	// (probes plus request-path strikes), failed observations, and
+	// up<->down flips.
+	peerUp                        metrics.Gauge
+	probes, failures, transitions metrics.Counter
+
 	stop chan struct{}
 	done sync.WaitGroup
 }
@@ -92,6 +94,10 @@ func newHealthChecker(peers []string, cfg healthConfig) *healthChecker {
 	}
 	for _, p := range peers {
 		h.peers[p] = &peerState{up: true, backoff: cfg.interval}
+		h.peerUp.Set(p, 1)
+		h.probes.Add(p, 0)
+		h.failures.Add(p, 0)
+		h.transitions.Add(p, 0)
 	}
 	return h
 }
@@ -182,7 +188,7 @@ func (h *healthChecker) observe(addr string, ok bool) {
 	if !known {
 		return
 	}
-	ps.probes++
+	h.probes.Add(addr, 1)
 	if ok {
 		ps.fails = 0
 		if !ps.up {
@@ -191,12 +197,13 @@ func (h *healthChecker) observe(addr string, ok bool) {
 				ps.up = true
 				ps.passes = 0
 				ps.backoff = h.cfg.interval
-				ps.transitions++
+				h.peerUp.Set(addr, 1)
+				h.transitions.Add(addr, 1)
 			}
 		}
 		return
 	}
-	ps.failures++
+	h.failures.Add(addr, 1)
 	ps.passes = 0
 	if ps.up {
 		ps.fails++
@@ -204,7 +211,8 @@ func (h *healthChecker) observe(addr string, ok bool) {
 			ps.up = false
 			ps.fails = 0
 			ps.backoff = h.cfg.interval
-			ps.transitions++
+			h.peerUp.Set(addr, 0)
+			h.transitions.Add(addr, 1)
 		}
 	}
 }
@@ -220,41 +228,12 @@ func (h *healthChecker) up(addr string) bool {
 	return !known || ps.up
 }
 
-// writeMetrics appends per-peer health series to the Prometheus
-// exposition, one labelled sample per peer per family.
-func (h *healthChecker) writeMetrics(w io.Writer) {
-	h.mu.Lock()
-	type row struct {
-		addr string
-		ps   peerState
-	}
-	rows := make([]row, 0, len(h.peers))
-	for a, ps := range h.peers {
-		rows = append(rows, row{a, *ps})
-	}
-	h.mu.Unlock()
-	sort.Slice(rows, func(i, j int) bool { return rows[i].addr < rows[j].addr })
-
-	io.WriteString(w, "# HELP mwld_peer_up Whether the peer is currently believed reachable (1) or down (0).\n# TYPE mwld_peer_up gauge\n")
-	for _, r := range rows {
-		up := 0
-		if r.ps.up {
-			up = 1
-		}
-		fmt.Fprintf(w, "mwld_peer_up{peer=%q} %d\n", r.addr, up)
-	}
-	io.WriteString(w, "# HELP mwld_peer_probes_total Health observations recorded for the peer (probes plus request-path strikes).\n# TYPE mwld_peer_probes_total counter\n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "mwld_peer_probes_total{peer=%q} %d\n", r.addr, r.ps.probes)
-	}
-	io.WriteString(w, "# HELP mwld_peer_probe_failures_total Failed health observations recorded for the peer.\n# TYPE mwld_peer_probe_failures_total counter\n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "mwld_peer_probe_failures_total{peer=%q} %d\n", r.addr, r.ps.failures)
-	}
-	io.WriteString(w, "# HELP mwld_peer_transitions_total Up/down state flips recorded for the peer.\n# TYPE mwld_peer_transitions_total counter\n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "mwld_peer_transitions_total{peer=%q} %d\n", r.addr, r.ps.transitions)
-	}
+// registerMetrics registers the per-peer health families on r.
+func (h *healthChecker) registerMetrics(r *metrics.Registry) {
+	r.Gauge("mwld_peer_up", "Whether the peer is currently believed reachable (1) or down (0).", "peer", &h.peerUp)
+	r.Counter("mwld_peer_probes_total", "Health observations recorded for the peer (probes plus request-path strikes).", "peer", &h.probes)
+	r.Counter("mwld_peer_probe_failures_total", "Failed health observations recorded for the peer.", "peer", &h.failures)
+	r.Counter("mwld_peer_transitions_total", "Up/down state flips recorded for the peer.", "peer", &h.transitions)
 }
 
 // attachHealth wires an active health checker over the cluster's remote

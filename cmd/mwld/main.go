@@ -15,9 +15,11 @@
 //	                       index-tagged result per line, flushed as each
 //	                       solve completes (completion order)
 //	GET  /v1/methods       registered method names with descriptions
-//	GET  /metrics          Prometheus text: solves, errors, latency
-//	                       histograms, cache/store counters, pool gauges,
-//	                       shard routing counters
+//	GET  /metrics          Prometheus text: solves, errors and latency
+//	                       histograms by method, cache/store counters,
+//	                       pool gauges, admission control counters and,
+//	                       in cluster mode, shard routing, peer health
+//	                       and replication series
 //	GET  /healthz          liveness probe
 //
 // With -peers (and -self), mwld runs as one replica of a cluster:
@@ -57,12 +59,11 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
-	"strings"
 	"sync/atomic"
 	"time"
 
 	mwl "repro"
+	"repro/internal/metrics"
 )
 
 func main() {
@@ -462,14 +463,15 @@ func newHandler(cfg handlerConfig) http.Handler {
 			}
 		})
 	})
+	var reg metrics.Registry
+	svc.RegisterMetrics(&reg)
+	cfg.adm.registerMetrics(&reg)
+	if cl != nil {
+		cl.registerMetrics(&reg)
+	}
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		writeMetrics(w, svc.Metrics())
-		fmt.Fprintf(w, "# HELP mwld_queue_depth Solves waiting for a worker slot right now.\n# TYPE mwld_queue_depth gauge\nmwld_queue_depth %d\n", svc.Queued())
-		cfg.adm.writeMetrics(w)
-		if cl != nil {
-			cl.writeShardMetrics(w)
-		}
+		w.Header().Set("Content-Type", metrics.ContentType)
+		reg.WriteTo(w)
 	})
 	return mux
 }
@@ -498,93 +500,6 @@ func decodeJSON(body []byte, v any) error {
 		return errors.New("decoding request: trailing data after JSON document")
 	}
 	return nil
-}
-
-// writeMetrics renders a Service metrics snapshot in the Prometheus
-// text exposition format (expfmt), with no dependency on a client
-// library: counters, per-method latency histograms, cache/store
-// counters and worker-pool gauges.
-func writeMetrics(w io.Writer, m mwl.Metrics) {
-	bounds := mwl.LatencyBucketBounds()
-
-	fmt.Fprintln(w, "# HELP mwld_solves_total Solver runs by method (cache hits excluded).")
-	fmt.Fprintln(w, "# TYPE mwld_solves_total counter")
-	for _, mm := range m.Methods {
-		fmt.Fprintf(w, "mwld_solves_total{method=%q} %d\n", mm.Method, mm.Solves)
-	}
-	fmt.Fprintln(w, "# HELP mwld_solve_errors_total Failed solver runs by method, cancellations included.")
-	fmt.Fprintln(w, "# TYPE mwld_solve_errors_total counter")
-	for _, mm := range m.Methods {
-		fmt.Fprintf(w, "mwld_solve_errors_total{method=%q} %d\n", mm.Method, mm.Errors)
-	}
-	fmt.Fprintln(w, "# HELP mwld_solve_duration_seconds Solve wall-clock latency by method.")
-	fmt.Fprintln(w, "# TYPE mwld_solve_duration_seconds histogram")
-	for _, mm := range m.Methods {
-		for i, le := range bounds {
-			fmt.Fprintf(w, "mwld_solve_duration_seconds_bucket{method=%q,le=%q} %d\n",
-				mm.Method, promFloat(le.Seconds()), mm.Buckets[i])
-		}
-		fmt.Fprintf(w, "mwld_solve_duration_seconds_bucket{method=%q,le=\"+Inf\"} %d\n",
-			mm.Method, mm.Buckets[len(mm.Buckets)-1])
-		fmt.Fprintf(w, "mwld_solve_duration_seconds_sum{method=%q} %s\n",
-			mm.Method, promFloat(mm.LatencySum.Seconds()))
-		fmt.Fprintf(w, "mwld_solve_duration_seconds_count{method=%q} %d\n",
-			mm.Method, mm.Buckets[len(mm.Buckets)-1])
-	}
-
-	c := m.Cache
-	counters := []struct {
-		name, help string
-		v          uint64
-	}{
-		{"mwld_cache_hits_total", "Solves served from the in-memory cache or by joining an in-flight duplicate.", c.Hits},
-		{"mwld_cache_misses_total", "Solves that appointed a leader (ran the solver or hit the store).", c.Misses},
-		{"mwld_cache_evictions_total", "LRU entries dropped to enforce the entry/byte caps.", c.Evictions},
-		{"mwld_store_hits_total", "Persistent-store hits on cache misses.", c.StoreHits},
-		{"mwld_store_misses_total", "Persistent-store misses on cache misses.", c.StoreMisses},
-		{"mwld_store_put_errors_total", "Failed persistent-store write-throughs (best-effort).", c.StorePutErrors},
-		{"mwld_verify_failures_total", "Solutions rejected by mwl.Verify (corrupted store entries and misbehaving solvers).", c.VerifyFailures},
-	}
-	for _, ct := range counters {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", ct.name, ct.help, ct.name, ct.name, ct.v)
-	}
-	if wins := mwl.PortfolioWins(); len(wins) > 0 {
-		fmt.Fprintln(w, "# HELP mwld_portfolio_wins_total Portfolio race wins by method.")
-		fmt.Fprintln(w, "# TYPE mwld_portfolio_wins_total counter")
-		names := make([]string, 0, len(wins))
-		for name := range wins {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			fmt.Fprintf(w, "mwld_portfolio_wins_total{method=%q} %d\n", name, wins[name])
-		}
-	}
-	gauges := []struct {
-		name, help string
-		v          int64
-	}{
-		{"mwld_cache_entries", "Solutions held in the in-memory LRU.", int64(c.Entries)},
-		{"mwld_cache_bytes", "Approximate in-memory LRU footprint in bytes.", c.Bytes},
-		{"mwld_inflight_solves", "Solves currently running or joinable by duplicates.", int64(c.InFlight)},
-		{"mwld_workers", "Worker-pool size.", int64(m.Workers)},
-		{"mwld_workers_busy", "Worker-pool slots occupied right now.", int64(m.WorkersBusy)},
-	}
-	for _, g := range gauges {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", g.name, g.help, g.name, g.name, g.v)
-	}
-}
-
-// promFloat renders a float the way Prometheus text format expects:
-// plain decimal, no exponent for the magnitudes we emit.
-func promFloat(f float64) string {
-	s := fmt.Sprintf("%g", f)
-	// %g may pick exponent form for 1e-05 etc.; none of our bucket
-	// bounds need it, but normalise defensively.
-	if strings.ContainsAny(s, "eE") {
-		s = fmt.Sprintf("%f", f)
-	}
-	return s
 }
 
 // solveStatus maps solve errors onto HTTP statuses: unknown methods and

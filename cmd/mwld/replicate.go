@@ -13,6 +13,7 @@ import (
 	"time"
 
 	mwl "repro"
+	"repro/internal/metrics"
 )
 
 // repJob is one solved entry queued for replication.
@@ -148,19 +149,10 @@ func (r *replicator) put(addr, key string, sol mwl.Solution) error {
 	return nil
 }
 
-// writeMetrics appends the replication series to the Prometheus
-// exposition.
-func (r *replicator) writeMetrics(w io.Writer) {
-	fmt.Fprintf(w, "# HELP mwld_replication_pending Solved entries queued for replication but not yet written to peers.\n# TYPE mwld_replication_pending gauge\nmwld_replication_pending %d\n", r.pending())
-	counters := []struct {
-		name, help string
-		v          uint64
-	}{
-		{"mwld_replicate_sent_total", "Successful replica writes of solved entries to peers.", r.sent.Load()},
-		{"mwld_replicate_errors_total", "Failed replica writes of solved entries to peers.", r.errs.Load()},
-		{"mwld_replicate_dropped_total", "Solved entries not replicated because the replication queue was full.", r.dropped.Load()},
-	}
-	for _, ct := range counters {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", ct.name, ct.help, ct.name, ct.name, ct.v)
-	}
+// registerMetrics registers the replication families on r.
+func (r *replicator) registerMetrics(reg *metrics.Registry) {
+	reg.GaugeFunc("mwld_replication_pending", "Solved entries queued for replication but not yet written to peers.", func() int64 { return int64(r.pending()) })
+	reg.CounterFunc("mwld_replicate_sent_total", "Successful replica writes of solved entries to peers.", r.sent.Load)
+	reg.CounterFunc("mwld_replicate_errors_total", "Failed replica writes of solved entries to peers.", r.errs.Load)
+	reg.CounterFunc("mwld_replicate_dropped_total", "Solved entries not replicated because the replication queue was full.", r.dropped.Load)
 }

@@ -3,7 +3,7 @@
 // context polling in solver loops (ctxpoll), bounded goroutine fan-out
 // (boundedspawn), caller-seeded randomness (seededrand), explicit wire
 // schema tags and deterministic canonical encoding (wiretag), and
-// Prometheus metric naming/registration (metricname).
+// Prometheus metric naming (metricname).
 //
 // Run it through the go command so every package (and its type
 // information) is fed to the suite incrementally and cached:

@@ -1,8 +1,6 @@
-// Package metricname lints the hand-rolled Prometheus exposition in
-// cmd/mwld: every metric name literal must follow the project
-// convention, and a metric family must not be registered (given a
-// "# TYPE" header) more than once per package — double headers are an
-// exposition-format violation scrapers reject.
+// Package metricname lints metric name literals: every mwld_ name must
+// follow the project convention. A family's kind and its uniqueness are
+// checked where it is registered, by internal/metrics.
 //
 // Conventions enforced on any string literal containing an mwld_ name:
 //
@@ -12,10 +10,7 @@
 //   - durations and sizes use base units: _seconds and _bytes, never
 //     _ms/_millis/_micros/_nanos/_sec/_secs;
 //   - the histogram series suffixes _bucket/_sum/_count hang only off a
-//     unit-suffixed histogram base (..._seconds, ..._bytes);
-//   - an explicit "# TYPE <name> counter|gauge|histogram" header agrees
-//     with the name's suffix (counter => _total; histogram => _seconds
-//     or _bytes; gauge => not _total) and appears at most once.
+//     unit-suffixed histogram base (..._seconds, ..._bytes).
 package metricname
 
 import (
@@ -31,15 +26,13 @@ import (
 // Analyzer is the metricname check.
 var Analyzer = &analysis.Analyzer{
 	Name: "metricname",
-	Doc: "mwld_* metric literals must follow Prometheus naming conventions and " +
-		"each family may be registered (# TYPE) only once per package",
-	Run: run,
+	Doc:  "mwld_* metric literals must follow Prometheus naming conventions",
+	Run:  run,
 }
 
 var (
 	nameRe  = regexp.MustCompile(`mwld_[A-Za-z0-9_-]*`)
 	validRe = regexp.MustCompile(`^mwld_[a-z][a-z0-9_]*$`)
-	typeRe  = regexp.MustCompile(`# TYPE (mwld_[A-Za-z0-9_-]*) ([a-z]+)`)
 )
 
 // badUnits maps forbidden suffixes to the convention they violate.
@@ -54,11 +47,6 @@ var badUnits = map[string]string{
 var seriesSuffixes = []string{"_bucket", "_sum", "_count"}
 
 func run(pass *analysis.Pass) error {
-	type registration struct {
-		kind string
-		pos  token.Pos
-	}
-	families := make(map[string]registration)
 	for _, f := range pass.Files {
 		if pass.IsTestFile(f) {
 			continue
@@ -74,17 +62,6 @@ func run(pass *analysis.Pass) error {
 			}
 			for _, name := range nameRe.FindAllString(text, -1) {
 				checkName(pass, lit.Pos(), name)
-			}
-			for _, m := range typeRe.FindAllStringSubmatch(text, -1) {
-				name, kind := m[1], m[2]
-				if prev, dup := families[name]; dup {
-					pass.Reportf(lit.Pos(),
-						"metric family %s registered more than once in this package (previous # TYPE was %s)",
-						name, pass.Fset.Position(prev.pos))
-				} else {
-					families[name] = registration{kind: kind, pos: lit.Pos()}
-				}
-				checkKind(pass, lit.Pos(), name, kind)
 			}
 			return true
 		})
@@ -112,25 +89,6 @@ func checkName(pass *analysis.Pass, pos token.Pos, name string) {
 		if strings.HasSuffix(base, bad) {
 			pass.Reportf(pos, "metric name %q uses suffix %s; the convention is %s", name, bad, good)
 		}
-	}
-}
-
-func checkKind(pass *analysis.Pass, pos token.Pos, name, kind string) {
-	switch kind {
-	case "counter":
-		if !strings.HasSuffix(name, "_total") {
-			pass.Reportf(pos, "counter %q must end in _total", name)
-		}
-	case "histogram":
-		if !strings.HasSuffix(name, "_seconds") && !strings.HasSuffix(name, "_bytes") {
-			pass.Reportf(pos, "histogram %q must carry a base unit suffix (_seconds or _bytes)", name)
-		}
-	case "gauge":
-		if strings.HasSuffix(name, "_total") {
-			pass.Reportf(pos, "gauge %q must not end in _total (that suffix is reserved for counters)", name)
-		}
-	default:
-		pass.Reportf(pos, "metric family %s has unknown type %q (want counter, gauge or histogram)", name, kind)
 	}
 }
 

@@ -1,23 +1,19 @@
 package a
 
-// Exposition literals in the approved shapes.
+// Name literals in the approved shapes.
 const (
-	goodCounter = "# TYPE mwld_requests_total counter"
-	goodGauge   = "# TYPE mwld_queue_depth gauge"
-	goodHist    = "# TYPE mwld_solve_duration_seconds histogram"
+	goodCounter = "mwld_requests_total"
+	goodGauge   = "mwld_queue_depth"
+	goodHist    = "mwld_solve_duration_seconds"
 	goodSeries  = "mwld_solve_duration_seconds_bucket{le=\"+Inf\"} %d"
 	goodFormat  = "mwld_requests_total{method=%q} %d\n"
 )
 
 // Convention violations.
 const (
-	badCase     = "mwld_Requests_total"                // want `not of the form`
-	badDash     = "mwld_cache-hits_total"              // want `not of the form`
-	badUnit     = "mwld_latency_ms"                    // want `uses suffix _ms`
-	badTotals   = "mwld_solve_totals"                  // want `uses suffix _totals`
-	badSeries   = "mwld_sizes_bucket"                  // want `lacks a unit suffix`
-	badKind     = "# TYPE mwld_queue_len counter"      // want `must end in _total`
-	badHistKind = "# TYPE mwld_solves_fast histogram"  // want `must carry a base unit suffix`
-	badGauge    = "# TYPE mwld_live_total gauge"       // want `must not end in _total`
-	dupReg      = "# TYPE mwld_requests_total counter" // want `registered more than once`
+	badCase   = "mwld_Requests_total"   // want `not of the form`
+	badDash   = "mwld_cache-hits_total" // want `not of the form`
+	badUnit   = "mwld_latency_ms"       // want `uses suffix _ms`
+	badTotals = "mwld_solve_totals"     // want `uses suffix _totals`
+	badSeries = "mwld_sizes_bucket"     // want `lacks a unit suffix`
 )

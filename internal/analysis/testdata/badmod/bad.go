@@ -36,5 +36,5 @@ type Record struct {
 	Name string
 }
 
-// Header registers a counter without the _total suffix: metricname.
-const Header = "# TYPE mwld_requests counter\n"
+// Latency names a duration in milliseconds, not seconds: metricname.
+const Latency = "mwld_latency_ms"

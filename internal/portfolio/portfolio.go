@@ -1,16 +1,12 @@
 // Package portfolio holds the method-agnostic pieces of the portfolio
-// solver: deterministic winner selection among raced outcomes, entrant
-// list normalization, and the concurrent win-count scoreboard surfaced
-// on /metrics. The racing itself happens in the root package through
-// the Service's bounded batch runner (every entrant is a registered
+// solver: deterministic winner selection among raced outcomes and
+// entrant list normalization. The racing itself happens in the root
+// package through the Service's bounded batch runner (every entrant is a registered
 // method solved under one ctx); the experiment harness reuses Pick to
 // score a "portfolio" column without re-running any solver.
 package portfolio
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Outcome is one raced entrant's result: its registry name, the area of
 // its solution, and the error that ended it (nil for a feasible
@@ -67,32 +63,4 @@ func Normalize(names, defaults []string, self string) ([]string, error) {
 		return nil, fmt.Errorf("portfolio: no entrants")
 	}
 	return out, nil
-}
-
-// Scoreboard counts race wins per method. The zero value is ready to
-// use; it is safe for concurrent use.
-type Scoreboard struct {
-	mu   sync.Mutex
-	wins map[string]uint64
-}
-
-// Win records one win for the named method.
-func (s *Scoreboard) Win(name string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.wins == nil {
-		s.wins = make(map[string]uint64)
-	}
-	s.wins[name]++
-}
-
-// Snapshot returns a copy of the win counts.
-func (s *Scoreboard) Snapshot() map[string]uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]uint64, len(s.wins))
-	for k, v := range s.wins {
-		out[k] = v
-	}
-	return out
 }

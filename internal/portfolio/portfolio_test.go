@@ -2,7 +2,6 @@ package portfolio
 
 import (
 	"errors"
-	"sync"
 	"testing"
 )
 
@@ -63,25 +62,5 @@ func TestNormalize(t *testing.T) {
 	}
 	if _, err := Normalize(nil, nil, "portfolio"); err == nil {
 		t.Fatal("empty entrant list accepted")
-	}
-}
-
-func TestScoreboardConcurrent(t *testing.T) {
-	var sb Scoreboard
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				sb.Win("dpalloc")
-			}
-			sb.Win("anneal")
-		}()
-	}
-	wg.Wait()
-	snap := sb.Snapshot()
-	if snap["dpalloc"] != 800 || snap["anneal"] != 8 {
-		t.Fatalf("snapshot %v", snap)
 	}
 }

@@ -36,13 +36,6 @@ import (
 	"repro/internal/wcg"
 )
 
-// BoundCriticalPath returns Q_b for the given schedule and binding: the
-// operations critical in the sequencing graph augmented with
-// same-resource adjacency edges (Eqn. 7), evaluated with bound latencies.
-func BoundCriticalPath(g *wcg.Graph, start []int, b *bind.Binding) []dfg.OpID {
-	return new(Scratch).boundCriticalPath(g, start, b)
-}
-
 // Scratch is the refinement step's working memory: the flat arrays of
 // the bound-critical-path analysis and the candidate lists. A caller
 // refining once per schedule/bind/refine round keeps one Scratch for the
@@ -72,7 +65,10 @@ func (s *Scratch) Reset() {
 	s.queue.g, s.queue.edges, s.queue.heap = nil, 0, s.queue.heap[:0]
 }
 
-// boundCriticalPath is BoundCriticalPath; the result aliases s.
+// boundCriticalPath returns Q_b for the given schedule and binding: the
+// operations critical in the sequencing graph augmented with
+// same-resource adjacency edges (Eqn. 7), evaluated with bound
+// latencies. The result aliases s.
 func (s *Scratch) boundCriticalPath(g *wcg.Graph, start []int, b *bind.Binding) []dfg.OpID {
 	d := g.D
 	n := d.N()
@@ -182,15 +178,10 @@ func (s *Scratch) boundCriticalPath(g *wcg.Graph, start []int, b *bind.Binding) 
 	return crit
 }
 
-// Candidates returns W: the members of the bound critical path that
-// complete before the latency constraint even at their upper-bound
-// latency. At least one member of W must be refined for the constraint
-// to become satisfiable.
-func Candidates(g *wcg.Graph, start []int, qb []dfg.OpID, lambda int) []dfg.OpID {
-	return appendCandidates(nil, g, start, qb, lambda)
-}
-
-// appendCandidates appends W to dst.
+// appendCandidates appends W to dst: the members of the bound critical
+// path qb that complete before the latency constraint even at their
+// upper-bound latency. At least one member of W must be refined for the
+// constraint to become satisfiable.
 func appendCandidates(dst []dfg.OpID, g *wcg.Graph, start []int, qb []dfg.OpID, lambda int) []dfg.OpID {
 	for _, o := range qb {
 		if start[o]+g.UpperLatency(o) <= lambda {

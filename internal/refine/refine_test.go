@@ -43,7 +43,7 @@ func TestBoundCriticalPathChain(t *testing.T) {
 		prev = o
 	}
 	g, start, b := setup(t, d)
-	qb := BoundCriticalPath(g, start, b)
+	qb := new(Scratch).boundCriticalPath(g, start, b)
 	if len(qb) != 4 {
 		t.Fatalf("Q_b = %v, want all 4 ops", qb)
 	}
@@ -68,7 +68,7 @@ func TestBoundCriticalPathIncludesResourceSerialization(t *testing.T) {
 		Cliques:  []bind.Clique{{Ops: []dfg.OpID{a, bop}, Kind: firstMulKind(g)}},
 		CliqueOf: []int{0, 0},
 	}
-	qb := BoundCriticalPath(g, start, binding)
+	qb := new(Scratch).boundCriticalPath(g, start, binding)
 	if len(qb) != 2 {
 		t.Fatalf("Q_b = %v, want both ops via S_b edge", qb)
 	}
@@ -103,7 +103,7 @@ func TestBoundCriticalPathGapBreaksEdge(t *testing.T) {
 		Cliques:  []bind.Clique{{Ops: []dfg.OpID{0, 1}, Kind: firstMulKind(g)}},
 		CliqueOf: []int{0, 0},
 	}
-	qb := BoundCriticalPath(g, start, binding)
+	qb := new(Scratch).boundCriticalPath(g, start, binding)
 	// Without the S_b edge both ops have augmented ASAP 0 and latency 2,
 	// so both are critical (both lie on a longest path of length 2).
 	if len(qb) != 2 {
@@ -118,14 +118,14 @@ func TestCandidatesFilterByDeadline(t *testing.T) {
 	o2 := d.AddOp("", model.Mul, model.Sig(20, 18)) // L = 7 via 25x25
 	d.AddDep(o1, o2)
 	g, start, b := setup(t, d)
-	qb := BoundCriticalPath(g, start, b)
+	qb := new(Scratch).boundCriticalPath(g, start, b)
 	// Makespan is 14; λ = 8 admits only the first op (0 + 7 <= 8).
-	w := Candidates(g, start, qb, 8)
+	w := appendCandidates(nil, g, start, qb, 8)
 	if len(w) != 1 || w[0] != o1 {
 		t.Fatalf("W = %v, want [%d]", w, o1)
 	}
 	// λ = 14 admits both.
-	if w := Candidates(g, start, qb, 14); len(w) != 2 {
+	if w := appendCandidates(nil, g, start, qb, 14); len(w) != 2 {
 		t.Fatalf("W = %v, want both ops", w)
 	}
 }

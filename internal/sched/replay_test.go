@@ -47,7 +47,7 @@ func TestSchedulingSetReplayQuick(t *testing.T) {
 			refineRandomly(w, rnd, rnd.Intn(4))
 			replay, before := s.setG == w, slices.Clone(s.setTrace)
 			got := s.SchedulingSet(w)
-			if want := SchedulingSet(w); !slices.Equal(got, want) {
+			if want := new(Scratch).SchedulingSet(w); !slices.Equal(got, want) {
 				t.Logf("N=%d seed=%d step=%d: replayed set %v, fresh %v", d.N(), seed, step, got, want)
 				return false
 			}

@@ -94,23 +94,18 @@ func (e *InfeasibleError) Error() string {
 // Is reports whether target is ErrResourceInfeasible.
 func (e *InfeasibleError) Is(target error) bool { return target == ErrResourceInfeasible }
 
-// SchedulingSet computes a small subset S ⊆ R such that every operation
-// has an H edge to some member, preferring large cover then small area
-// (greedy set cover; minimum-cardinality covering is NP-hard, and the
-// greedy bound is the standard choice). Cover counts are popcounts of
-// kind-adjacency bit sets against the uncovered set, so each round is
-// O(|R| · n/64) rather than a per-kind operation-list scan.
-func SchedulingSet(g *wcg.Graph) []int {
-	return new(Scratch).SchedulingSet(g)
-}
-
 // setStep is one selection of the scheduling-set greedy: the kind taken
 // and the number of then-uncovered operations it covered.
 type setStep struct {
 	ki, cover int
 }
 
-// SchedulingSet is the package-level SchedulingSet running in s. On the
+// SchedulingSet computes a small subset S ⊆ R such that every operation
+// has an H edge to some member, preferring large cover then small area
+// (greedy set cover; minimum-cardinality covering is NP-hard, and the
+// greedy bound is the standard choice). Cover counts are popcounts of
+// kind-adjacency bit sets against the uncovered set, so each round is
+// O(|R| · n/64) rather than a per-kind operation-list scan. On the
 // graph of its previous call it first replays that call's greedy (see
 // the package comment), so a ladder round pays only for the selections
 // its deletions changed. The returned set is freshly allocated.

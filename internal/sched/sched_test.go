@@ -79,7 +79,7 @@ func TestSchedulingSetCovers(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		d := randomDAG(rnd, 1+rnd.Intn(16))
 		g := build(t, d)
-		set := SchedulingSet(g)
+		set := new(Scratch).SchedulingSet(g)
 		for i := 0; i < d.N(); i++ {
 			ok := false
 			for _, ki := range set {
@@ -103,7 +103,7 @@ func TestSchedulingSetSmallestCase(t *testing.T) {
 	d.AddOp("", model.Mul, model.Sig(12, 4))
 	d.AddOp("", model.Mul, model.Sig(10, 10))
 	g := build(t, d)
-	set := SchedulingSet(g)
+	set := new(Scratch).SchedulingSet(g)
 	if len(set) != 1 {
 		t.Fatalf("scheduling set = %v, want single top kind", set)
 	}

@@ -55,10 +55,11 @@ type Stats struct {
 
 // nodeCap bounds the stage-2 search; when hit, the best incumbent is
 // returned and Stats.Capped is set. Searches complete uncapped for the
-// small-to-mid problem sizes; at the top of the paper's range (around 24
-// operations) a few percent of graphs return the best-found partition
-// instead of the proven optimum, which only slightly understates this
-// baseline's area (i.e. is conservative for the paper's Fig. 3 penalty).
+// small-to-mid problem sizes, but at the top of the paper's range (24
+// operations) 11 to 13 of 20 graphs per relaxation hit the cap. A capped
+// search returns a best-found area no smaller than the optimum, so
+// capping overstates this baseline's area and can only raise the Fig. 3
+// penalty (twostage − dpalloc)/dpalloc: it is not conservative.
 const nodeCap = 1 << 19
 
 // Allocate runs the two-stage baseline. Note the returned area is

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/portfolio"
 )
 
@@ -33,12 +34,9 @@ func init() {
 		thePortfolio)
 }
 
-// PortfolioWins reports how many races each method has won process-wide
-// since start, the counter behind mwld's mwld_portfolio_wins_total
-// metric. The map is a copy.
-func PortfolioWins() map[string]uint64 {
-	return thePortfolio.board.Snapshot()
-}
+// portfolioWins counts the races each method has won process-wide;
+// Service.RegisterMetrics shows it.
+var portfolioWins metrics.Counter
 
 // portfolioSolver races registered methods under one ctx via the
 // Service's bounded batch runner and returns the feasible solution with
@@ -46,8 +44,7 @@ func PortfolioWins() map[string]uint64 {
 // the deadline: losers are canceled and the best solution completed so
 // far is returned, making the portfolio an anytime solver.
 type portfolioSolver struct {
-	svc   *Service
-	board portfolio.Scoreboard
+	svc *Service
 }
 
 //mwlvet:allow ctxpoll -- loops here are O(len(methods)) setup; the race itself runs under rctx via SolveBatchVia below
@@ -103,7 +100,7 @@ func (ps *portfolioSolver) Solve(ctx context.Context, p Problem) (Solution, erro
 		}
 		return Solution{}, portfolioFailure(outs)
 	}
-	ps.board.Win(methods[win])
+	portfolioWins.Add(methods[win], 1)
 	sol := sols[win]
 	sol.Cached = false
 	sol.Method = "portfolio"

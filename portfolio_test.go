@@ -9,6 +9,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -55,8 +56,8 @@ func TestPortfolioSingleMethodDegradesExactly(t *testing.T) {
 	if got.Method != "portfolio" || got.Stats.Winner != "twostage" {
 		t.Fatalf("envelope wrong: method %q winner %q", got.Method, got.Stats.Winner)
 	}
-	if mwl.PortfolioWins()["twostage"] == 0 {
-		t.Fatal("win not recorded on the scoreboard")
+	if !strings.Contains(exposition(mwl.NewService(1)), `mwld_portfolio_wins_total{method="twostage"} `) {
+		t.Fatal("win not recorded on mwld_portfolio_wins_total")
 	}
 }
 

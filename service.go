@@ -4,10 +4,11 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // DefaultCacheEntries is the LRU entry cap applied when ServiceOptions
@@ -69,8 +70,11 @@ type Service struct {
 	cache    *lruCache             // completed solutions, bounded
 	inflight map[string]*memoEntry // running solves, never evicted
 
-	stats   CacheStats // counter fields only; gauges derived on demand
-	methods map[string]*methodMetrics
+	stats CacheStats // counter fields only; gauges derived on demand
+
+	// Per-method solver runs, failed runs and latency.
+	solves, errs metrics.Counter
+	latency      *metrics.Histogram
 }
 
 // memoEntry is one in-flight solve. done is closed when sol/err are
@@ -112,7 +116,7 @@ func NewServiceWith(opts ServiceOptions) *Service {
 		onSolved: opts.OnSolved,
 		cache:    newLRUCache(entries, bytes),
 		inflight: make(map[string]*memoEntry),
-		methods:  make(map[string]*methodMetrics),
+		latency:  metrics.NewHistogram(latencyBuckets...),
 	}
 }
 
@@ -502,123 +506,44 @@ func (s *Service) ClearCache() {
 	s.cache.clear()
 }
 
-// ---- per-method metrics ----
+// ---- metrics ----
 
-// latencyBucketBounds are the upper bounds of the solve-latency
+// latencyBuckets are the upper bounds in seconds of the solve-latency
 // histogram, chosen to straddle the paper's regimes: DPAlloc answers in
 // milliseconds, ILP solves run to minutes (Table 2).
-var latencyBucketBounds = []time.Duration{
-	time.Millisecond,
-	5 * time.Millisecond,
-	25 * time.Millisecond,
-	100 * time.Millisecond,
-	500 * time.Millisecond,
-	2500 * time.Millisecond,
-	10 * time.Second,
-	time.Minute,
-	5 * time.Minute,
-}
+var latencyBuckets = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10, 60, 300}
 
-// methodMetrics accumulates one method's counters; guarded by Service.mu.
-type methodMetrics struct {
-	solves  uint64 // solver runs (cache hits are not solves)
-	errors  uint64 // failed runs, cancellations included
-	sum     time.Duration
-	buckets []uint64 // per-bucket counts; len(latencyBucketBounds)+1, last is +Inf
-}
-
+// record counts one solver run of method. Every method run shows an
+// error count, zero included.
 func (s *Service) record(method string, d time.Duration, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m := s.methods[method]
-	if m == nil {
-		m = &methodMetrics{buckets: make([]uint64, len(latencyBucketBounds)+1)}
-		s.methods[method] = m
-	}
-	m.solves++
+	var failed uint64
 	if err != nil {
-		m.errors++
+		failed = 1
 	}
-	m.sum += d
-	i := 0
-	for i < len(latencyBucketBounds) && d > latencyBucketBounds[i] {
-		i++
-	}
-	m.buckets[i]++
+	s.solves.Add(method, 1)
+	s.errs.Add(method, failed)
+	s.latency.Observe(method, d.Seconds())
 }
 
-// MethodMetrics is one method's solve counters in a Metrics snapshot.
-type MethodMetrics struct {
-	Method string `json:"method"`
-	// Solves counts solver runs; cache and store hits do not run the
-	// solver and are visible in CacheStats instead.
-	Solves uint64 `json:"solves"`
-	// Errors counts failed runs, including cancellations.
-	Errors uint64 `json:"errors"`
-	// LatencySum is the total wall clock across runs; with Solves it
-	// yields the mean, with Buckets the distribution.
-	LatencySum time.Duration `json:"latency_sum_ns"`
-	// Buckets holds cumulative counts: Buckets[i] is the number of runs
-	// with latency <= LatencyBucketBounds()[i]; the final element (no
-	// bound) counts every run (+Inf).
-	Buckets []uint64 `json:"buckets"`
-}
-
-// Metrics is a point-in-time snapshot of a Service's observability
-// counters, renderable as Prometheus text (see cmd/mwld's /metrics).
-type Metrics struct {
-	Methods []MethodMetrics `json:"methods"`
-	Cache   CacheStats      `json:"cache"`
-	// Workers is the pool size; WorkersBusy the occupied slots now.
-	Workers     int `json:"workers"`
-	WorkersBusy int `json:"workers_busy"`
-	// Queued counts solves waiting for a worker slot right now.
-	Queued int `json:"queued"`
-}
-
-// LatencyBucketBounds reports the histogram bucket upper bounds used by
-// Metrics, smallest first; the implicit final bucket is +Inf.
-func LatencyBucketBounds() []time.Duration {
-	out := make([]time.Duration, len(latencyBucketBounds))
-	copy(out, latencyBucketBounds)
-	return out
-}
-
-// Metrics snapshots the per-method solve counters, cache stats and
-// worker-pool occupancy.
-func (s *Service) Metrics() Metrics {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := Metrics{
-		Workers:     cap(s.sem),
-		WorkersBusy: len(s.sem),
-		Queued:      int(s.queued.Load()),
-	}
-	out.Cache = s.stats
-	out.Cache.Entries = s.cache.len()
-	out.Cache.Bytes = s.cache.bytes
-	out.Cache.InFlight = len(s.inflight)
-	out.Cache.Evictions = s.cache.evictions
-	names := make([]string, 0, len(s.methods))
-	for name := range s.methods {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		m := s.methods[name]
-		buckets := make([]uint64, len(m.buckets))
-		var cum uint64
-		for i, c := range m.buckets {
-			cum += c
-			buckets[i] = cum
-		}
-		out.Methods = append(out.Methods, MethodMetrics{
-			Method:     name,
-			Solves:     m.solves,
-			Errors:     m.errors,
-			LatencySum: m.sum,
-			Buckets:    buckets,
-		})
-	}
-	return out
+// RegisterMetrics registers the Service's families on r: per-method
+// solve counts, errors and latency, the cache and store counters,
+// process-wide portfolio wins, and the cache and worker-pool gauges.
+func (s *Service) RegisterMetrics(r *metrics.Registry) {
+	r.Counter("mwld_solves_total", "Solver runs by method (cache hits excluded).", "method", &s.solves)
+	r.Counter("mwld_solve_errors_total", "Failed solver runs by method, cancellations included.", "method", &s.errs)
+	r.Histogram("mwld_solve_duration_seconds", "Solve wall-clock latency by method.", "method", s.latency)
+	r.CounterFunc("mwld_cache_hits_total", "Solves served from the in-memory cache or by joining an in-flight duplicate.", func() uint64 { return s.CacheStats().Hits })
+	r.CounterFunc("mwld_cache_misses_total", "Solves that appointed a leader (ran the solver or hit the store).", func() uint64 { return s.CacheStats().Misses })
+	r.CounterFunc("mwld_cache_evictions_total", "LRU entries dropped to enforce the entry/byte caps.", func() uint64 { return s.CacheStats().Evictions })
+	r.CounterFunc("mwld_store_hits_total", "Persistent-store hits on cache misses.", func() uint64 { return s.CacheStats().StoreHits })
+	r.CounterFunc("mwld_store_misses_total", "Persistent-store misses on cache misses.", func() uint64 { return s.CacheStats().StoreMisses })
+	r.CounterFunc("mwld_store_put_errors_total", "Failed persistent-store write-throughs (best-effort).", func() uint64 { return s.CacheStats().StorePutErrors })
+	r.CounterFunc("mwld_verify_failures_total", "Solutions rejected by mwl.Verify (corrupted store entries and misbehaving solvers).", func() uint64 { return s.CacheStats().VerifyFailures })
+	r.Counter("mwld_portfolio_wins_total", "Portfolio race wins by method.", "method", &portfolioWins)
+	r.GaugeFunc("mwld_cache_entries", "Solutions held in the in-memory LRU.", func() int64 { return int64(s.CacheStats().Entries) })
+	r.GaugeFunc("mwld_cache_bytes", "Approximate in-memory LRU footprint in bytes.", func() int64 { return s.CacheStats().Bytes })
+	r.GaugeFunc("mwld_inflight_solves", "Solves currently running or joinable by duplicates.", func() int64 { return int64(s.CacheStats().InFlight) })
+	r.GaugeFunc("mwld_workers", "Worker-pool size.", func() int64 { return int64(cap(s.sem)) })
+	r.GaugeFunc("mwld_workers_busy", "Worker-pool slots occupied right now.", func() int64 { return int64(len(s.sem)) })
+	r.GaugeFunc("mwld_queue_depth", "Solves waiting for a worker slot right now.", s.queued.Load)
 }

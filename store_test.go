@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	mwl "repro"
+	"repro/internal/metrics"
 )
 
 // solveProbe builds a small hashable problem that differs per lambda —
@@ -439,18 +440,27 @@ func TestMetricsFoldUnknownMethods(t *testing.T) {
 			t.Fatalf("method %q solved", m)
 		}
 	}
-	mm := svc.Metrics()
-	var unknown *mwl.MethodMetrics
-	for i := range mm.Methods {
-		if mm.Methods[i].Method == "unknown" {
-			unknown = &mm.Methods[i]
-		} else if len(mm.Methods[i].Method) >= 5 && mm.Methods[i].Method[:5] == "bogus" {
-			t.Fatalf("bogus method %q leaked into metrics", mm.Methods[i].Method)
+	got := exposition(svc)
+	if strings.Contains(got, "bogus") {
+		t.Fatalf("bogus method leaked into metrics:\n%s", got)
+	}
+	for _, want := range []string{
+		`mwld_solves_total{method="unknown"} 3`,
+		`mwld_solve_errors_total{method="unknown"} 3`,
+	} {
+		if !strings.Contains(got, want) {
+			t.Fatalf("metrics missing %q:\n%s", want, got)
 		}
 	}
-	if unknown == nil || unknown.Solves != 3 || unknown.Errors != 3 {
-		t.Fatalf("unknown label = %+v, want 3 solves / 3 errors", unknown)
-	}
+}
+
+// exposition renders svc's metric families as Prometheus text.
+func exposition(svc *mwl.Service) string {
+	var reg metrics.Registry
+	svc.RegisterMetrics(&reg)
+	var buf bytes.Buffer
+	reg.WriteTo(&buf)
+	return buf.String()
 }
 
 // hitBytes is the response a cache hit on sol answers with: its compact
