@@ -722,9 +722,11 @@ func BenchmarkPortfolio(b *testing.B) {
 	b.ReportMetric(float64(winArea)/float64(len(graphs)), "portfolio-mean-area")
 }
 
-// BenchmarkWire times the request-path wire work of one mwld solve on
-// the serve workload's problem shape (a TGFF graph of 30 operations at
-// λ = 2·λ_min): decoding the request body and hashing the problem.
+// BenchmarkWire times the wire work of one mwld solve on the serve
+// workload's problem shape (a TGFF graph of 30 operations at
+// λ = 2·λ_min): decoding the request body, hashing the problem,
+// encoding the solution into a cache entry's hit bytes, and decoding
+// that encoding as a replication PUT does.
 func BenchmarkWire(b *testing.B) {
 	g, err := mwl.GenerateRandom(mwl.RandomConfig{N: 30, Seed: 1})
 	if err != nil {
@@ -739,12 +741,17 @@ func BenchmarkWire(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	sol, err := mwl.Solve(context.Background(), p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sol.Cached = true
+	hit := mwl.HitBytes(sol)
 	b.Run("decode/N=30", func(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(body)))
 		for i := 0; i < b.N; i++ {
-			var q mwl.Problem
-			if err := json.Unmarshal(body, &q); err != nil {
+			if _, err := mwl.DecodeProblem(body); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -753,6 +760,22 @@ func BenchmarkWire(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := p.Hash(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("encode/N=30", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(hit)))
+		for i := 0; i < b.N; i++ {
+			mwl.HitBytes(sol)
+		}
+	})
+	b.Run("solution-decode/N=30", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(hit)))
+		for i := 0; i < b.N; i++ {
+			if _, err := mwl.DecodeSolution(hit); err != nil {
 				b.Fatal(err)
 			}
 		}

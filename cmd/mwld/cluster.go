@@ -238,8 +238,12 @@ func (c *cluster) fetch(ctx context.Context, addr, key string) (mwl.Solution, bo
 	if resp.StatusCode != http.StatusOK {
 		return mwl.Solution{}, false
 	}
-	var sol mwl.Solution
-	if err := json.NewDecoder(io.LimitReader(resp.Body, c.relayLimit)).Decode(&sol); err != nil || sol.Datapath == nil {
+	body, err := io.ReadAll(io.LimitReader(resp.Body, c.relayLimit))
+	if err != nil {
+		return mwl.Solution{}, false
+	}
+	sol, err := mwl.DecodeSolution(body)
+	if err != nil || sol.Datapath == nil {
 		return mwl.Solution{}, false
 	}
 	return sol, true
@@ -314,24 +318,21 @@ func unavailableStatus(code int) bool {
 	return code == 499 || code == http.StatusServiceUnavailable || code == http.StatusTooManyRequests
 }
 
-// forwardSolve proxies one problem, with its canonical hash key, to
-// target's /v1/solve — route's forwardFunc for batch members. relayed
+// forwardSolve proxies one problem, as its canonical encoding blob with
+// its hash key, to target's /v1/solve — route's forwardFunc for batch
+// members. relayed
 // reports whether the target answered usefully, and counts the request
 // as forwarded: a transport failure (connection refused, mid-restart,
 // truncated response) or an unavailable status (draining, shedding)
 // returns relayed=false and the caller solves locally; any other
 // HTTP-level answer — success or error — is the target's verdict and is
 // returned as-is.
-func (c *cluster) forwardSolve(ctx context.Context, target, key string, p mwl.Problem) (sol mwl.Solution, err error, relayed bool) {
+func (c *cluster) forwardSolve(ctx context.Context, target, key string, blob []byte) (sol mwl.Solution, err error, relayed bool) {
 	defer func() {
 		if relayed {
 			c.forwarded.Add(1)
 		}
 	}()
-	blob, err := json.Marshal(p)
-	if err != nil {
-		return mwl.Solution{}, err, false
-	}
 	req, err := http.NewRequestWithContext(ctx, "POST", target+"/v1/solve", bytes.NewReader(blob))
 	if err != nil {
 		return mwl.Solution{}, err, false
@@ -375,7 +376,7 @@ func (c *cluster) forwardSolve(ctx context.Context, target, key string, p mwl.Pr
 		rec := mwl.BatchResultWire{Error: msg, Infeasible: infeasible}
 		return mwl.Solution{}, rec.FromWire().Err, true
 	}
-	if err := json.Unmarshal(body, &sol); err != nil {
+	if sol, err = mwl.DecodeSolution(body); err != nil {
 		return mwl.Solution{}, fmt.Errorf("owner %s: decoding solution: %w", target, err), false
 	}
 	return sol, nil, true

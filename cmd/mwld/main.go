@@ -47,7 +47,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -259,16 +258,18 @@ func newHandler(cfg handlerConfig) http.Handler {
 		return key
 	}
 	// batchSolve is the per-problem solve of the batch endpoints: each
-	// member is routed as a single solve is (cluster.route), forwarded
-	// with forwardSolve, and a hit answers with its Solution.
-	batchSolve := func(r *http.Request) func(context.Context, mwl.Problem) (mwl.Solution, error) {
+	// member is hashed as keyOf does, routed as a single solve is
+	// (cluster.route), forwarded with forwardSolve as the canonical
+	// encoding the hash digested, and a hit answers with its held bytes.
+	batchSolve := func(r *http.Request) func(context.Context, mwl.Problem) mwl.BatchResult {
 		rt := routed(r)
-		return func(ctx context.Context, p mwl.Problem) (mwl.Solution, error) {
-			key := keyOf(p)
-			sol, _, err := cl.route(ctx, svc, key, p, rt, func(target string) (mwl.Solution, error, bool) {
-				return cl.forwardSolve(ctx, target, key, p)
+		return func(ctx context.Context, p mwl.Problem) mwl.BatchResult {
+			hashes.Add(1)
+			key, blob, _ := p.Canonical() // as in keyOf
+			sol, hit, err := cl.route(ctx, svc, key, p, rt, func(target string) (mwl.Solution, error, bool) {
+				return cl.forwardSolve(ctx, target, key, blob)
 			})
-			return sol, err
+			return mwl.BatchResult{Solution: sol, Err: err, Hit: hit}
 		}
 	}
 	// admitSize enforces the per-problem node cap; a violation is the
@@ -288,7 +289,12 @@ func newHandler(cfg handlerConfig) http.Handler {
 	// error response itself when the request is unusable.
 	decodeBatch := func(w http.ResponseWriter, r *http.Request) (mwl.BatchRequest, bool) {
 		var req mwl.BatchRequest
-		if err := decodeBody(w, r, maxBody, &req); err != nil {
+		body, err := readBody(w, r, maxBody)
+		if err == nil {
+			req, err = mwl.DecodeBatchRequest(body)
+			err = decodeError(err)
+		}
+		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return req, false
 		}
@@ -327,14 +333,14 @@ func newHandler(cfg handlerConfig) http.Handler {
 				}
 			}
 		}
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+		body, err := readBody(w, r, maxBody)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
+			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		var p mwl.Problem
-		if err := decodeJSON(body, &p); err != nil {
-			writeError(w, http.StatusBadRequest, err)
+		p, err := mwl.DecodeProblem(body)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, decodeError(err))
 			return
 		}
 		if !admitSize(w, p) {
@@ -346,8 +352,8 @@ func newHandler(cfg handlerConfig) http.Handler {
 			return
 		}
 		// A hit answers with the response bytes the Service encoded when
-		// it cached the solution — the bytes writeJSON would write; a
-		// relay has written the target's response already.
+		// it cached the solution; a relay has written the target's
+		// response already.
 		relayed := false
 		sol, hit, err := cl.route(r.Context(), svc, key, p, routed(r), func(target string) (mwl.Solution, error, bool) {
 			relayed = cl.relay(w, r, target, key, body)
@@ -360,7 +366,7 @@ func newHandler(cfg handlerConfig) http.Handler {
 		case err != nil:
 			writeError(w, solveStatus(err), err)
 		default:
-			writeJSON(w, http.StatusOK, sol)
+			writeBody(w, http.StatusOK, append(sol.AppendJSON(nil), '\n'))
 		}
 	})
 	// The internal solution endpoints are the cluster's replication
@@ -385,12 +391,12 @@ func newHandler(cfg handlerConfig) http.Handler {
 			writeError(w, http.StatusBadRequest, errors.New("key must be a 64-character lowercase hex problem hash"))
 			return
 		}
-		sol, ok := svc.Peek(key)
+		_, body, ok := svc.Peek(key)
 		if !ok {
 			writeError(w, http.StatusNotFound, errors.New("no stored solution for key"))
 			return
 		}
-		writeJSON(w, http.StatusOK, sol)
+		writeBody(w, http.StatusOK, body)
 	})
 	mux.HandleFunc("PUT /internal/v1/solution/{key}", func(w http.ResponseWriter, r *http.Request) {
 		key := r.PathValue("key")
@@ -398,9 +404,14 @@ func newHandler(cfg handlerConfig) http.Handler {
 			writeError(w, http.StatusBadRequest, errors.New("key must be a 64-character lowercase hex problem hash"))
 			return
 		}
-		var sol mwl.Solution
-		if err := decodeBody(w, r, maxBody, &sol); err != nil {
+		body, err := readBody(w, r, maxBody)
+		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		sol, err := mwl.DecodeSolution(body)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, decodeError(err))
 			return
 		}
 		if sol.Datapath == nil {
@@ -430,7 +441,7 @@ func newHandler(cfg handlerConfig) http.Handler {
 			writeError(w, solveStatus(err), err)
 			return
 		}
-		writeJSON(w, http.StatusOK, mwl.WireBatch(out))
+		writeBody(w, http.StatusOK, append(mwl.AppendBatchResponse(nil, out), '\n'))
 	})
 	mux.HandleFunc("POST /v1/solve/stream", func(w http.ResponseWriter, r *http.Request) {
 		if !cfg.adm.admit(w, r) {
@@ -448,14 +459,15 @@ func newHandler(cfg handlerConfig) http.Handler {
 			// is live before the first (possibly slow) solve completes.
 			flusher.Flush()
 		}
-		enc := json.NewEncoder(w)
-		// SolveBatchFunc serializes the callback, so the encoder needs no
-		// extra locking; each record is flushed so the client sees every
-		// result the moment its solve completes, not when the batch ends.
-		// A client disconnect cancels r.Context(), which stops unstarted
-		// solves and aborts in-flight ones.
+		// SolveBatchVia serializes the callback, so the record buffer
+		// needs no extra locking; each record is flushed so the client
+		// sees every result the moment its solve completes, not when the
+		// batch ends. A client disconnect cancels r.Context(), which
+		// stops unstarted solves and aborts in-flight ones.
+		var rec []byte
 		svc.SolveBatchVia(r.Context(), req.Problems, batchSolve(r), func(i int, res mwl.BatchResult) {
-			if err := enc.Encode(mwl.WireStream(i, res)); err != nil {
+			rec = mwl.AppendStreamRecord(rec[:0], i, res)
+			if _, err := w.Write(rec); err != nil {
 				return // client gone; ctx cancellation drains the rest
 			}
 			if flusher != nil {
@@ -476,28 +488,23 @@ func newHandler(cfg handlerConfig) http.Handler {
 	return mux
 }
 
-// decodeBody decodes one JSON request body with the size cap applied,
-// rejecting trailing garbage after the document.
-func decodeBody(w http.ResponseWriter, r *http.Request, maxBody int64, v any) error {
+// readBody reads a request body with the size cap applied. Bodies are
+// read whole and decoded by the mwl.Decode* functions, which refuse
+// anything but whitespace after the document; the single-solve
+// endpoint keeps the raw bytes, so cluster mode can relay them to the
+// owner verbatim.
+func readBody(w http.ResponseWriter, r *http.Request, maxBody int64) ([]byte, error) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 	if err != nil {
-		return fmt.Errorf("reading request: %w", err)
+		return nil, fmt.Errorf("reading request: %w", err)
 	}
-	return decodeJSON(body, v)
+	return body, nil
 }
 
-// decodeJSON decodes one already-read JSON document, rejecting anything
-// but whitespace after it. The single-solve endpoint reads its body up
-// front so cluster mode can relay the raw bytes to the owner verbatim.
-func decodeJSON(body []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	if err := dec.Decode(v); err != nil {
+// decodeError labels a request body's decoding error; nil stays nil.
+func decodeError(err error) error {
+	if err != nil {
 		return fmt.Errorf("decoding request: %w", err)
-	}
-	// Decoder.More reports false on a stray ']' or '}', so check the
-	// rest of the body directly.
-	if len(bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n")) != 0 {
-		return errors.New("decoding request: trailing data after JSON document")
 	}
 	return nil
 }

@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"log"
@@ -16,10 +15,11 @@ import (
 	"repro/internal/metrics"
 )
 
-// repJob is one solved entry queued for replication.
+// repJob is one solved entry queued for replication: its key and the
+// solution's encoding as the solver's cache entry holds it.
 type repJob struct {
-	key string
-	sol mwl.Solution
+	key  string
+	body []byte
 }
 
 // replicator pushes freshly solved entries to the next ranked replicas
@@ -64,10 +64,12 @@ func (c *cluster) attachReplicator(factor int) *replicator {
 }
 
 // onSolved enqueues a freshly solved entry for replication without ever
-// blocking the solve that produced it.
-func (r *replicator) onSolved(key string, sol mwl.Solution) {
+// blocking the solve that produced it. The entry's hit bytes are the
+// body of every PUT: the receiver decodes them, and Admit clears the
+// Cached flag they carry.
+func (r *replicator) onSolved(key string, _ mwl.Solution, hit []byte) {
 	select {
-	case r.jobs <- repJob{key: key, sol: sol}:
+	case r.jobs <- repJob{key: key, body: hit}:
 	default:
 		r.dropped.Add(1)
 	}
@@ -113,7 +115,7 @@ func (r *replicator) replicate(job repJob) {
 		if !r.c.alive(addr) {
 			continue
 		}
-		if err := r.put(addr, job.key, job.sol); err != nil {
+		if err := r.put(addr, job.key, job.body); err != nil {
 			r.errs.Add(1)
 			log.Printf("replicate %s to %s: %v", job.key[:8], addr, err)
 		} else {
@@ -123,12 +125,9 @@ func (r *replicator) replicate(job repJob) {
 	}
 }
 
-// put stores one solution on one peer via the internal fetch endpoint.
-func (r *replicator) put(addr, key string, sol mwl.Solution) error {
-	blob, err := json.Marshal(sol)
-	if err != nil {
-		return err
-	}
+// put stores one encoded solution on one peer via the internal fetch
+// endpoint.
+func (r *replicator) put(addr, key string, blob []byte) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, "PUT", addr+"/internal/v1/solution/"+key, bytes.NewReader(blob))

@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	mwl "repro"
@@ -32,11 +33,13 @@ func fuzzProblemBlob(tb testing.TB, n int, seed int64, mutate func(*mwl.Problem)
 	return blob
 }
 
-// FuzzProblemWire: decoding arbitrary bytes as a Problem never panics,
-// and every decodable problem re-encodes canonically — the re-encoded
-// form decodes again, re-encodes to the identical bytes, and hashes
-// identically across the round trip (the invariant the Service's
-// memoization and the shard router both key on).
+// FuzzProblemWire checks the Problem codec against plain encoding/json,
+// as FuzzGraphWire does the graph's. Decoding: for any bytes,
+// DecodeProblem and json.Unmarshal both fail or yield the same problem.
+// Encoding: every decodable problem encodes to json.Marshal's bytes
+// (where encoding/json honours omitzero), and the encoding is canonical
+// — it decodes again to the same bytes and the same hash, the invariant
+// the Service's memoization and the shard router both key on.
 func FuzzProblemWire(f *testing.F) {
 	f.Add(fuzzProblemBlob(f, 7, 1, nil))
 	f.Add(fuzzProblemBlob(f, 3, 2, func(p *mwl.Problem) {
@@ -52,6 +55,14 @@ func FuzzProblemWire(f *testing.F) {
 		p.Options = mwl.SolveOptions{Portfolio: []string{"dpalloc", "twostage"}}
 		p.Library = mwl.LibrarySpec{AdderLatency: 1, MulBitsPerCycle: 4}
 	}))
+	f.Add(fuzzProblemBlob(f, 3, 5, func(p *mwl.Problem) {
+		p.Method = "optimal"
+		p.Options = mwl.SolveOptions{Incumbent: &mwl.Datapath{
+			Start:     []int{0, 1, 2},
+			Instances: []mwl.Instance{{Kind: mwl.Kind{Class: mwl.Mul, Sig: mwl.MulSig(16, 8)}, Ops: []mwl.OpID{0, 1, 2}}},
+			InstOf:    []int{0, 0, 0},
+		}}
+	}))
 	f.Add([]byte(`{"graph":{"ops":[{"type":"mul","hi":8}],"deps":[]},"lambda":4}`))
 	f.Add([]byte(`{"graph":{"ops":[{"type":"add","hi":8}],"deps":[[0,0]]}}`))
 	// Empty containers and a negative zero encode as absent knobs, so
@@ -59,27 +70,40 @@ func FuzzProblemWire(f *testing.F) {
 	f.Add([]byte(`{"graph":{"ops":[{"type":"add","hi":8}],"deps":null},"lambda":4,"options":{"limits":{}}}`))
 	f.Add([]byte(`{"method":"portfolio","graph":{"ops":[{"type":"add","hi":8}],"deps":null},"lambda":4,"options":{"portfolio":[]}}`))
 	f.Add([]byte(`{"method":"anneal","graph":{"ops":[{"type":"add","hi":8}],"deps":null},"lambda":4,"options":{"anneal_init_temp":-0}}`))
+	// What encoding/json before Go 1.24 writes for zero library and
+	// options, and the shapes the one-pass decoder hands back to it.
+	f.Add([]byte(`{"graph":{"ops":[{"type":"add","hi":8}],"deps":null},"lambda":4,"library":{},"options":{}}`))
+	f.Add([]byte(`{"graph":null,"lambda":1e1,"Lambda":2,"lambda":3,"options":{"anneal_cooling":1.5e-1}}`))
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte(`{}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var p mwl.Problem
-		if json.Unmarshal(data, &p) != nil {
-			return // undecodable input is not this target's business
+		p, err := mwl.DecodeProblem(data)
+		var ref mwl.Problem
+		refErr := json.Unmarshal(data, &ref)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("DecodeProblem error %v, encoding/json error %v on %q", err, refErr, data)
 		}
-		blob, err := json.Marshal(p)
 		if err != nil {
-			t.Fatalf("decoded problem does not re-encode: %v", err)
+			return
 		}
+		if d := sameProblem(p, ref); d != nil {
+			t.Fatalf("decoders differ on %q: %v", data, d)
+		}
+		blob, err := p.AppendJSON(nil)
+		if err != nil {
+			t.Fatalf("decoded problem does not encode: %v", err)
+		}
+		checkSameBytes(t, "Problem", blob, ref)
 		h1, hashErr := p.Hash()
 
-		var q mwl.Problem
-		if err := json.Unmarshal(blob, &q); err != nil {
+		q, err := mwl.DecodeProblem(blob)
+		if err != nil {
 			t.Fatalf("canonical encoding does not decode: %v\n%s", err, blob)
 		}
-		blob2, err := json.Marshal(q)
+		blob2, err := q.AppendJSON(nil)
 		if err != nil {
-			t.Fatalf("round-tripped problem does not re-encode: %v", err)
+			t.Fatalf("round-tripped problem does not encode: %v", err)
 		}
 		if !bytes.Equal(blob, blob2) {
 			t.Fatalf("encoding not canonical:\n%s\n%s", blob, blob2)
@@ -92,6 +116,54 @@ func FuzzProblemWire(f *testing.F) {
 			if h1 != h2 {
 				t.Fatalf("hash unstable across round trip: %s vs %s\n%s", h1, h2, blob)
 			}
+		}
+	})
+}
+
+// FuzzSolutionWire checks the Solution codec — the replication PUT's,
+// the relay's and the store's — against plain encoding/json: for any
+// bytes, DecodeSolution and json.Unmarshal both fail or yield the same
+// solution, and every decodable solution encodes to json.Marshal's
+// bytes (where encoding/json honours omitzero) and decodes back.
+func FuzzSolutionWire(f *testing.F) {
+	p := mwl.Problem{Graph: mwl.Fig1Graph(), Lambda: 40}
+	sol, err := mwl.Solve(context.Background(), p)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(sol.AppendJSON(nil))
+	sol.Cached = true
+	f.Add(append(sol.AppendJSON(nil), '\n'))
+	sol.Stats = mwl.SolveStats{Nodes: 12, TimedOut: true, Winner: "anneal"}
+	f.Add(sol.AppendJSON(nil))
+	f.Add([]byte(`{"method":"m","datapath":null,"area":0,"makespan":0,"area_by_kind":{},"elapsed_ns":-3}`))
+	f.Add([]byte(`{"method":"m","datapath":{"start":[],"instances":null},"area":1,"makespan":1,"elapsed_ns":1,"stats":{}}`))
+	f.Add([]byte(`{"datapath":{"start":[0],"instances":[{"class":"add","hi":4,"lo":2,"ops":[0]},{"class":"mul","hi":4,"ops":null}]}}`))
+	f.Add([]byte(`{"datapath":{"start":[0,1],"instances":[{"class":"add","hi":4,"ops":[0,0]}]}}`))
+	f.Add([]byte(`{"area_by_kind":{"add 4":1,"add 4":2},"cached":false,"Cached":true}`))
+	f.Add([]byte(`{}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sol, err := mwl.DecodeSolution(data)
+		var ref mwl.Solution
+		refErr := json.Unmarshal(data, &ref)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("DecodeSolution error %v, encoding/json error %v on %q", err, refErr, data)
+		}
+		if err != nil {
+			return
+		}
+		if !reflect.DeepEqual(sol, ref) {
+			t.Fatalf("decoders differ on %q:\n%+v\n%+v", data, sol, ref)
+		}
+		blob := sol.AppendJSON(nil)
+		checkSameBytes(t, "Solution", blob, ref)
+		back, err := mwl.DecodeSolution(blob)
+		if err != nil {
+			t.Fatalf("encoding does not decode: %v\n%s", err, blob)
+		}
+		if !bytes.Equal(back.AppendJSON(nil), blob) {
+			t.Fatalf("encoding not canonical:\n%s\n%s", blob, back.AppendJSON(nil))
 		}
 	})
 }

@@ -5,6 +5,7 @@
 package mwl_test
 
 import (
+	"bytes"
 	"context"
 	"sync"
 	"testing"
@@ -19,11 +20,13 @@ import (
 func TestOnSolvedFiresOncePerFreshSolve(t *testing.T) {
 	var mu sync.Mutex
 	var keys []string
+	var hits [][]byte
 	svc := mwl.NewServiceWith(mwl.ServiceOptions{
 		Workers: 2,
-		OnSolved: func(key string, sol mwl.Solution) {
+		OnSolved: func(key string, sol mwl.Solution, hit []byte) {
 			mu.Lock()
 			keys = append(keys, key)
+			hits = append(hits, hit)
 			mu.Unlock()
 		},
 	})
@@ -43,6 +46,10 @@ func TestOnSolvedFiresOncePerFreshSolve(t *testing.T) {
 	if len(keys) != 1 || keys[0] != key {
 		t.Fatalf("OnSolved fired with %v, want exactly [%s]", keys, key)
 	}
+	// The hook is handed the bytes a hit answers with.
+	if _, hit, ok := svc.Hit(key, &p); !ok || !bytes.Equal(hits[0], hit) {
+		t.Fatalf("OnSolved's bytes\n%s\nare not the entry's hit bytes\n%s", hits[0], hit)
+	}
 }
 
 // TestAdmitAndPeek: an admitted solution is visible to Peek and serves
@@ -61,15 +68,18 @@ func TestAdmitAndPeek(t *testing.T) {
 	}
 
 	dst := mwl.NewService(1)
-	if _, ok := dst.Peek(key); ok {
+	if _, _, ok := dst.Peek(key); ok {
 		t.Fatal("Peek hit on an empty service")
 	}
 	if !dst.Admit(key, sol, nil) {
 		t.Fatal("Admit refused a copy without Verify")
 	}
-	got, ok := dst.Peek(key)
+	got, body, ok := dst.Peek(key)
 	if !ok || got.Area != sol.Area {
 		t.Fatalf("Peek after Admit = (%+v, %v)", got, ok)
+	}
+	if want := append(sol.AppendJSON(nil), '\n'); !bytes.Equal(body, want) {
+		t.Fatalf("Peek's body\n%s\nwant the solution's encoding\n%s", body, want)
 	}
 	served, err := dst.Solve(context.Background(), p)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/dfg"
 	"repro/internal/model"
+	"repro/internal/wire"
 )
 
 func sampleDatapath() *Datapath {
@@ -54,4 +55,80 @@ func TestDatapathJSONRejectsBadBindings(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
+}
+
+// schemaEncode encodes dp through jsonDatapath with encoding/json
+// alone: the reference AppendJSON is checked against.
+func schemaEncode(t *testing.T, dp *Datapath) []byte {
+	t.Helper()
+	jd := jsonDatapath{Start: dp.Start, Instances: make([]jsonInstance, len(dp.Instances))}
+	if jd.Start == nil {
+		jd.Start = []int{}
+	}
+	for i, in := range dp.Instances {
+		ops := make([]int, len(in.Ops))
+		for j, o := range in.Ops {
+			ops[j] = int(o)
+		}
+		jd.Instances[i] = jsonInstance{Class: in.Kind.Class.String(), Hi: in.Kind.Sig.Hi, Lo: in.Kind.Sig.Lo, Ops: ops}
+	}
+	blob, err := json.Marshal(jd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// datapathWireSeeds are canonical documents, near misses and
+// non-canonical ones.
+var datapathWireSeeds = []string{
+	`{"start":[0,0,3],"instances":[{"class":"mul","hi":12,"lo":8,"ops":[0,2]},{"class":"add","hi":16,"lo":16,"ops":[1]}]}`,
+	`{"start":[],"instances":[]}`,
+	`{"start":null,"instances":null}`,
+	`{"instances":[],"start":[]}`,
+	`{"start":[4],"instances":[{"class":"add","hi":8,"ops":[0]},{"class":"mul","hi":3,"lo":2,"ops":null}]}`,
+	` { "start" : [ 1 , 2 ] , "instances" : [ { "ops" : [ 1 , 0 ] , "lo" : 1 , "hi" : 2 , "class" : "add" } ] } `,
+	`{"start":[0],"instances":[{"class":"sub","hi":8,"ops":[0]}]}`,
+	`{"start":[0],"instances":[{"class":"add","hi":8,"ops":[0]},{"class":"add","hi":8,"ops":[0]}]}`,
+	`{"start":[0],"start":[1],"instances":[{"class":"add","hi":8,"ops":[0]}]}`,
+	`{"start":[0],"instances":[{"class":"add","hi":8,"ops":[0],"Ops":[0]}]}`,
+	`{"start":[1e1],"instances":[{"class":"add","hi":8,"ops":[0]}]}`,
+	`{"start":[0],"instances":[{"class":"\u0061dd","hi":8,"ops":[0]}]}`,
+	`{"start":[0],"instances":[{"class":"add","hi":-1,"ops":[0]}]}`,
+	`{"start":[0],"instances":[{"class":"add","hi":8,"lo":9,"ops":[0]}]}`,
+}
+
+// FuzzDatapathWire checks the datapath codec against the encoding/json
+// schema, as FuzzGraphWire does the graph's. Decoding: for any bytes,
+// the one-pass ParseWire either declines or yields what the schema
+// decode yields, and declines whenever the schema decode fails.
+// Encoding: every decodable datapath encodes to the schema's bytes, on
+// the one-pass path again.
+func FuzzDatapathWire(f *testing.F) {
+	for _, s := range datapathWireSeeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ref, refErr := unmarshalSchema(data)
+		p := wire.NewParser(data)
+		fast, ok := ParseWire(&p)
+		ok = ok && p.Done()
+		if ok && refErr != nil {
+			t.Fatalf("ParseWire accepts %q, which encoding/json refuses: %v", data, refErr)
+		}
+		if ok && !reflect.DeepEqual(fast, ref) {
+			t.Fatalf("decoders differ on %q:\n%+v\n%+v", data, fast, ref)
+		}
+		if refErr != nil {
+			return
+		}
+		blob := ref.AppendJSON(nil)
+		if want := schemaEncode(t, ref); string(blob) != string(want) {
+			t.Fatalf("AppendJSON\n%s\nencoding/json\n%s", blob, want)
+		}
+		p = wire.NewParser(blob)
+		if back, ok := ParseWire(&p); !ok || !p.Done() || !reflect.DeepEqual(back, ref) {
+			t.Fatalf("encoding misses the one-pass path or loses the value: %s", blob)
+		}
+	})
 }

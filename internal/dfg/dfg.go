@@ -192,8 +192,40 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("dfg: operation %d (%s) has invalid signature %v", o.ID, o.Name, o.Spec.Sig)
 		}
 	}
-	_, err := g.TopoOrder()
-	return err
+	if !g.acyclic() {
+		return ErrCyclic
+	}
+	return nil
+}
+
+// acyclic reports whether the dependencies form no cycle: Kahn's
+// algorithm, in any order, in one allocation.
+func (g *Graph) acyclic() bool {
+	n := len(g.ops)
+	buf := make([]int, 2*n)
+	indeg, ready := buf[:n], buf[n:n] // each operation is ready once
+	for _, ss := range g.succ {
+		for _, s := range ss {
+			indeg[s]++
+		}
+	}
+	for o, d := range indeg {
+		if d == 0 {
+			ready = append(ready, o)
+		}
+	}
+	done := 0
+	for len(ready) > 0 {
+		o := ready[len(ready)-1]
+		ready = ready[:len(ready)-1]
+		done++
+		for _, s := range g.succ[o] {
+			if indeg[s]--; indeg[s] == 0 {
+				ready = append(ready, int(s))
+			}
+		}
+	}
+	return done == n
 }
 
 // Latencies maps each operation to a positive cycle count.

@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"slices"
 	"strconv"
 
 	"repro/internal/model"
+	"repro/internal/wire"
 )
 
 // jsonGraph is the sequencing-graph part of the v1 wire schema, shared
@@ -36,8 +36,12 @@ type jsonOp struct {
 // output is byte-identical to json.Marshal of the equivalent jsonGraph,
 // without reflection.
 func (g *Graph) MarshalJSON() ([]byte, error) {
-	edges := g.NumEdges()
-	b := make([]byte, 0, 24+48*len(g.ops)+12*edges)
+	return g.AppendJSON(make([]byte, 0, 24+48*len(g.ops)+12*g.NumEdges())), nil
+}
+
+// AppendJSON appends the graph's canonical encoding, MarshalJSON's
+// bytes, to b.
+func (g *Graph) AppendJSON(b []byte) []byte {
 	b = append(b, `{"ops":[`...)
 	for i, o := range g.ops {
 		if i > 0 {
@@ -46,11 +50,11 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 		b = append(b, '{')
 		if o.Name != "" {
 			b = append(b, `"name":`...)
-			b = appendString(b, o.Name)
+			b = wire.AppendString(b, o.Name)
 			b = append(b, ',')
 		}
 		b = append(b, `"type":`...)
-		b = appendString(b, o.Spec.Type.String())
+		b = wire.AppendString(b, o.Spec.Type.String())
 		b = append(b, `,"hi":`...)
 		b = strconv.AppendInt(b, int64(o.Spec.Sig.Hi), 10)
 		if o.Spec.Sig.Lo != 0 {
@@ -60,15 +64,18 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 		b = append(b, '}')
 	}
 	b = append(b, `],"deps":`...)
-	if edges == 0 {
+	if g.NumEdges() == 0 {
 		b = append(b, "null"...)
 	} else {
 		b = append(b, '[')
-		var tos []OpID
+		var buf [16]OpID
 		first := true
 		for from, ss := range g.succ {
-			tos = append(tos[:0], ss...)
-			slices.Sort(tos)
+			tos := ss
+			if !slices.IsSorted(ss) {
+				tos = append(buf[:0], ss...)
+				slices.Sort(tos)
+			}
 			for _, to := range tos {
 				if !first {
 					b = append(b, ',')
@@ -83,24 +90,7 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 		}
 		b = append(b, ']')
 	}
-	return append(b, '}'), nil
-}
-
-// appendString appends s as a JSON string literal. Strings of bytes
-// 0x20–0x7f that encoding/json would not escape are copied verbatim; any
-// other string is quoted by encoding/json itself, so escaping (HTML-safe
-// characters, control bytes, U+2028/U+2029, invalid UTF-8) stays exactly
-// encoding/json's.
-func appendString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s) // a string always encodes
-			return append(b, q...)
-		}
-	}
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"')
+	return append(b, '}')
 }
 
 // UnmarshalJSON decodes a graph from the interchange format and validates
@@ -111,6 +101,7 @@ func appendString(b []byte, s string) []byte {
 func (g *Graph) UnmarshalJSON(data []byte) error {
 	ng, deps, ok := parseCanonical(data)
 	if !ok {
+		wire.Fallbacks.Add(1)
 		var jg jsonGraph
 		if err := json.Unmarshal(data, &jg); err != nil {
 			return err
@@ -176,234 +167,114 @@ func (g *Graph) addWireDeps(deps [][2]int) error {
 }
 
 // parseCanonical decodes data in a single pass when it lies in the
-// canonical subset of the interchange format:
-//
-//   - one object with the keys "ops" and "deps", each at most once,
-//     spelled exactly so; operation objects with the keys "name",
-//     "type", "hi" and "lo", each at most once, and a type of "add",
-//     "sub" or "mul";
-//   - strings of bytes 0x20–0x7f without escapes;
-//   - integer literals that fit an int;
-//   - dependencies of exactly two integers, or "deps":null;
-//   - JSON whitespace anywhere between tokens.
-//
-// It returns the graph's operations and the dependencies still to add,
-// or ok=false on anything outside the subset — it never reports an
-// error, so whether a document is malformed is always encoding/json's
-// call. Names share one string copy of data.
+// canonical subset of the interchange format: one graph object as
+// parseGraph reads it, surrounded by nothing but whitespace. It never
+// reports an error, so whether a document is malformed is always
+// encoding/json's call.
 func parseCanonical(data []byte) (g *Graph, deps [][2]int, ok bool) {
-	p := wireParser{data: data}
-	g = New()
-	if !p.eat('{') {
-		return nil, nil, false
-	}
-	var sawOps, sawDeps bool
-	for more := !p.eat('}'); more; {
-		key, ok := p.str()
-		if !ok || !p.eat(':') {
-			return nil, nil, false
-		}
-		switch string(key) {
-		case "ops":
-			if sawOps || !p.ops(g) {
-				return nil, nil, false
-			}
-			sawOps = true
-		case "deps":
-			if sawDeps {
-				return nil, nil, false
-			}
-			if deps, ok = p.deps(); !ok {
-				return nil, nil, false
-			}
-			sawDeps = true
-		default:
-			return nil, nil, false
-		}
-		if more, ok = p.next('}'); !ok {
-			return nil, nil, false
-		}
-	}
-	p.ws()
-	if p.pos != len(data) {
+	p := wire.NewParser(data)
+	if g, deps, ok = parseGraph(&p); !ok || !p.Done() {
 		return nil, nil, false
 	}
 	return g, deps, true
 }
 
-// wireParser is parseCanonical's cursor. Every method skips leading
-// whitespace and reports false, consuming an arbitrary prefix, when the
-// input does not continue as expected.
-type wireParser struct {
-	data []byte
-	pos  int
-	doc  string // string copy of data, made at the first operation name
-}
-
-func (p *wireParser) ws() {
-	for p.pos < len(p.data) {
-		switch p.data[p.pos] {
-		case ' ', '\t', '\n', '\r':
-			p.pos++
-		default:
-			return
-		}
-	}
-}
-
-// eat consumes the byte c.
-func (p *wireParser) eat(c byte) bool {
-	p.ws()
-	if p.pos < len(p.data) && p.data[p.pos] == c {
-		p.pos++
-		return true
-	}
-	return false
-}
-
-// next consumes the separator after a member or element: a comma
-// (more=true) or the closing byte (more=false).
-func (p *wireParser) next(closing byte) (more, ok bool) {
-	if p.eat(',') {
-		return true, true
-	}
-	return false, p.eat(closing)
-}
-
-// str consumes a string of bytes 0x20–0x7f without escapes and returns
-// its contents, which alias data.
-func (p *wireParser) str() ([]byte, bool) {
-	if !p.eat('"') {
+// ParseWire consumes one graph object in the canonical subset (see
+// parseGraph) at p's cursor and validates it. It reports false, without
+// an error, on anything outside the subset and on an invalid graph:
+// the caller falls back to encoding/json, which decodes through
+// UnmarshalJSON and reports why.
+func ParseWire(p *wire.Parser) (*Graph, bool) {
+	g, deps, ok := parseGraph(p)
+	if !ok || g.addWireDeps(deps) != nil {
 		return nil, false
 	}
-	start := p.pos
-	for p.pos < len(p.data) {
-		c := p.data[p.pos]
-		p.pos++
-		switch {
-		case c == '"':
-			return p.data[start : p.pos-1], true
-		case c < 0x20 || c >= 0x80 || c == '\\':
-			return nil, false
-		}
-	}
-	return nil, false
+	return g, true
 }
 
-// int consumes an integer literal, -?(0|[1-9][0-9]*), that fits an int.
-// A fraction or exponent is left unconsumed, so the caller's next
-// structural check fails on it.
-func (p *wireParser) int() (int, bool) {
-	p.ws()
-	neg := p.pos < len(p.data) && p.data[p.pos] == '-'
-	if neg {
-		p.pos++
-	}
-	if p.pos >= len(p.data) || p.data[p.pos] < '0' || p.data[p.pos] > '9' {
-		return 0, false
-	}
-	var u uint64
-	if p.data[p.pos] == '0' {
-		p.pos++
-	} else {
-		for p.pos < len(p.data) && p.data[p.pos] >= '0' && p.data[p.pos] <= '9' {
-			d := uint64(p.data[p.pos] - '0')
-			if u > (math.MaxUint64-d)/10 {
-				return 0, false
-			}
-			u = u*10 + d
-			p.pos++
+// parseGraph consumes one graph object in the canonical subset of the
+// interchange format (see wire.Parser):
+//
+//   - the keys "ops" and "deps", each at most once, spelled exactly so;
+//     operation objects with the keys "name", "type", "hi" and "lo",
+//     each at most once, and a type of "add", "sub" or "mul";
+//   - integers that fit an int;
+//   - dependencies of exactly two integers, or "deps":null.
+//
+// It returns the graph's operations and the dependencies still to add,
+// or ok=false on anything outside the subset. Names share one string
+// copy of the document.
+func parseGraph(p *wire.Parser) (g *Graph, deps [][2]int, ok bool) {
+	g = New()
+	var seen uint8 // bits: ops, deps
+	ok = p.Object(func(key []byte) bool {
+		var bit uint8
+		var ok bool
+		switch string(key) {
+		case "ops":
+			bit, ok = 1, parseOps(p, g)
+		case "deps":
+			bit = 2
+			deps, ok = parseDeps(p)
 		}
-	}
-	limit := uint64(math.MaxInt)
-	if neg {
-		limit++
-	}
-	if u > limit {
-		return 0, false
-	}
-	v := int(u)
-	if neg {
-		v = -v
-	}
-	return v, true
+		if !ok || seen&bit != 0 {
+			return false
+		}
+		seen |= bit
+		return true
+	})
+	return g, deps, ok
 }
 
 // minOpBytes is the length of the shortest operation object of the
 // canonical subset, {"type":"add","hi":1}.
 const minOpBytes = len(`{"type":"add","hi":1}`)
 
-// ops consumes the operations array, appending each operation to g.
-func (p *wireParser) ops(g *Graph) bool {
-	if !p.eat('[') {
-		return false
-	}
+// parseOps consumes the operations array, appending each operation to g.
+func parseOps(p *wire.Parser, g *Graph) bool {
 	// Size the graph for every operation the rest of the document can
 	// hold: each needs an object of at least minOpBytes.
-	rest := p.data[p.pos:]
+	rest := p.Rest()
 	n := min(bytes.Count(rest, []byte{'{'}), len(rest)/minOpBytes)
 	g.ops = make([]Op, 0, n)
 	g.succ = make([][]OpID, 0, n)
 	g.pred = make([][]OpID, 0, n)
-	for more := !p.eat(']'); more; {
-		if !p.op(g) {
-			return false
-		}
-		var ok bool
-		if more, ok = p.next(']'); !ok {
-			return false
-		}
-	}
-	return true
+	return p.Array(func() bool { return parseOp(p, g) })
 }
 
-// op consumes one operation object and appends it to g.
-func (p *wireParser) op(g *Graph) bool {
-	if !p.eat('{') {
-		return false
-	}
+// parseOp consumes one operation object and appends it to g.
+func parseOp(p *wire.Parser, g *Graph) bool {
 	var (
 		name     string
 		typeName []byte
 		hi, lo   int
 		seen     uint8 // bits: name, type, hi, lo
 	)
-	for more := !p.eat('}'); more; {
-		key, ok := p.str()
-		if !ok || !p.eat(':') {
-			return false
-		}
+	ok := p.Object(func(key []byte) bool {
 		var bit uint8
+		var ok bool
 		switch string(key) {
 		case "name":
 			bit = 1
-			var b []byte
-			if b, ok = p.str(); ok && len(b) > 0 {
-				if p.doc == "" {
-					p.doc = string(p.data)
-				}
-				end := p.pos - 1 // the closing quote
-				name = p.doc[end-len(b) : end]
-			}
+			name, ok = p.Name()
 		case "type":
 			bit = 2
-			typeName, ok = p.str()
+			typeName, ok = p.Str()
 		case "hi":
 			bit = 4
-			hi, ok = p.int()
+			hi, ok = p.Int()
 		case "lo":
 			bit = 8
-			lo, ok = p.int()
-		default:
-			return false
+			lo, ok = p.Int()
 		}
 		if !ok || seen&bit != 0 {
 			return false
 		}
 		seen |= bit
-		if more, ok = p.next('}'); !ok {
-			return false
-		}
+		return true
+	})
+	if !ok {
+		return false
 	}
 	var typ model.OpType
 	switch string(typeName) {
@@ -420,34 +291,27 @@ func (p *wireParser) op(g *Graph) bool {
 	return true
 }
 
-// deps consumes the dependency array or null.
-func (p *wireParser) deps() ([][2]int, bool) {
-	p.ws()
-	if len(p.data)-p.pos >= 4 && string(p.data[p.pos:p.pos+4]) == "null" {
-		p.pos += 4
+// parseDeps consumes the dependency array or null.
+func parseDeps(p *wire.Parser) ([][2]int, bool) {
+	if p.Null() {
 		return nil, true
 	}
-	if !p.eat('[') {
-		return nil, false
-	}
-	rest := p.data[p.pos:]
+	rest := p.Rest()
 	deps := make([][2]int, 0, min(bytes.Count(rest, []byte{'['}), len(rest)/len("[0,0]")))
-	for more := !p.eat(']'); more; {
-		if !p.eat('[') {
-			return nil, false
+	ok := p.Array(func() bool {
+		if !p.Eat('[') {
+			return false
 		}
-		from, ok := p.int()
-		if !ok || !p.eat(',') {
-			return nil, false
+		from, ok := p.Int()
+		if !ok || !p.Eat(',') {
+			return false
 		}
-		to, ok := p.int()
-		if !ok || !p.eat(']') {
-			return nil, false
+		to, ok := p.Int()
+		if !ok || !p.Eat(']') {
+			return false
 		}
 		deps = append(deps, [2]int{from, to})
-		if more, ok = p.next(']'); !ok {
-			return nil, false
-		}
-	}
-	return deps, true
+		return true
+	})
+	return deps, ok
 }

@@ -44,11 +44,14 @@ type ServiceOptions struct {
 	Verify bool
 	// OnSolved, when non-nil, is called after every fresh successful
 	// solve (cache hits, store hits and failures excluded) with the
-	// problem's canonical hash and its solution. cmd/mwld uses it as the
-	// write-through hook of cluster replication; the callback runs on
-	// the solving goroutine, so implementations that do I/O should hand
-	// the work off rather than block the solve.
-	OnSolved func(key string, sol Solution)
+	// problem's canonical hash, its solution and the solution's encoding
+	// as the new cache entry holds it: Service.Hit's response bytes,
+	// shared with the entry and not to be modified. cmd/mwld uses it as
+	// the write-through hook of cluster replication, sending those bytes
+	// as they are; the callback runs on the solving goroutine, so
+	// implementations that do I/O should hand the work off rather than
+	// block the solve.
+	OnSolved func(key string, sol Solution, hit []byte)
 }
 
 // Service is a concurrent solve front end: it bounds the number of
@@ -62,7 +65,7 @@ type Service struct {
 	sem      chan struct{} // worker-pool slots
 	store    Store         // optional persistence under the LRU
 	verify   bool          // validate every solution before serving it
-	onSolved func(key string, sol Solution)
+	onSolved func(key string, sol Solution, hit []byte)
 
 	queued atomic.Int64 // solves waiting for a worker slot right now
 
@@ -214,7 +217,7 @@ func (s *Service) SolveKeyed(ctx context.Context, key string, p Problem) (Soluti
 	}
 
 	sol, err := s.solveOne(ctx, p)
-	s.finish(key, e, sol, err, false)
+	hit := s.finish(key, e, sol, err, false)
 	if err == nil {
 		if s.store != nil {
 			if perr := s.store.Put(key, sol); perr != nil {
@@ -226,7 +229,7 @@ func (s *Service) SolveKeyed(ctx context.Context, key string, p Problem) (Soluti
 			}
 		}
 		if s.onSolved != nil {
-			s.onSolved(key, sol)
+			s.onSolved(key, sol, hit)
 		}
 	}
 	return sol, err
@@ -280,21 +283,30 @@ func (s *Service) Hit(key string, p *Problem) (sol Solution, hit []byte, ok bool
 
 // Peek returns the cached or stored solution for a problem hash without
 // running a solver or waiting on one — the serving half of cluster
-// replication read-through. It does not count as a cache hit, does not
-// refresh LRU recency, and does not verify: a peer fetching a copy is
-// not local workload evidence, and checks the copy against its own
-// problem when it admits it.
-func (s *Service) Peek(key string) (Solution, bool) {
+// replication read-through — together with its response body: the
+// solution's compact JSON encoding, newline-terminated, cut from the
+// cache entry's hit bytes when the LRU holds it. It does not count as a
+// cache hit, does not refresh LRU recency, and does not verify: a peer
+// fetching a copy is not local workload evidence, and checks the copy
+// against its own problem when it admits it.
+func (s *Service) Peek(key string) (sol Solution, body []byte, ok bool) {
 	s.mu.Lock()
 	e, ok := s.cache.peek(key)
 	s.mu.Unlock()
 	if ok {
-		return e.sol, true
+		// The entry holds the solution without Cached, and hit bytes
+		// with it: drop the member again.
+		body = make([]byte, 0, len(e.hit)-len(cachedField))
+		body = append(body, e.hit[:e.cachedAt]...)
+		return e.sol, append(body, e.hit[e.cachedAt+len(cachedField):]...), true
 	}
 	if s.store != nil {
-		return s.store.Get(key)
+		if sol, ok = s.store.Get(key); ok {
+			body = sol.AppendJSON(make([]byte, 0, sol.sizeHint()))
+			return sol, append(body, '\n'), true
+		}
 	}
-	return Solution{}, false
+	return Solution{}, nil, false
 }
 
 // Admit inserts an externally computed solution under its problem hash:
@@ -314,13 +326,11 @@ func (s *Service) Admit(key string, sol Solution, p *Problem) bool {
 		s.mu.Unlock()
 		return false
 	}
-	sol.Cached = false
-	if e, ok := newLRUEntry(key, sol); ok {
-		e.unverified = s.verify && p == nil
-		s.mu.Lock()
-		s.cache.add(e)
-		s.mu.Unlock()
-	}
+	e := newLRUEntry(key, sol)
+	e.unverified = s.verify && p == nil
+	s.mu.Lock()
+	s.cache.add(e)
+	s.mu.Unlock()
 	if s.store != nil {
 		if err := s.store.Put(key, sol); err != nil {
 			s.mu.Lock()
@@ -338,14 +348,16 @@ func (s *Service) Queued() int { return int(s.queued.Load()) }
 // finish publishes a leader's outcome: successful solutions enter the
 // LRU (failures are not cached — a cancellation or deadline is the
 // caller's, not the problem's), the in-flight entry is retired, and
-// waiters are released.
-func (s *Service) finish(key string, e *memoEntry, sol Solution, err error, fromStore bool) {
+// waiters are released. It returns the new entry's hit bytes, nil on
+// failure.
+func (s *Service) finish(key string, e *memoEntry, sol Solution, err error, fromStore bool) (hit []byte) {
 	e.sol, e.err = sol, err
 	var entry *lruEntry
 	if err == nil {
 		// Encode the solution before taking the lock so a large
 		// datapath cannot stall concurrent cache lookups.
-		entry, _ = newLRUEntry(key, sol)
+		entry = newLRUEntry(key, sol)
+		hit = entry.hit
 	}
 	s.mu.Lock()
 	delete(s.inflight, key)
@@ -357,6 +369,7 @@ func (s *Service) finish(key string, e *memoEntry, sol Solution, err error, from
 	}
 	s.mu.Unlock()
 	close(e.done)
+	return hit
 }
 
 // solveOne runs one solve inside a worker-pool slot and records the
@@ -403,6 +416,10 @@ func metricLabel(method string) string {
 type BatchResult struct {
 	Solution Solution
 	Err      error
+	// Hit, when set, is Solution's response encoding held by the cache
+	// entry that answered (Service.Hit's bytes): AppendBatchResponse
+	// and AppendStreamRecord splice it instead of encoding Solution.
+	Hit []byte
 }
 
 // SolveBatch solves every problem, running up to the Service's worker
@@ -431,10 +448,13 @@ func (s *Service) SolveBatchFunc(ctx context.Context, problems []Problem, fn fun
 // each problem goes through solve instead of s.Solve (nil means
 // s.Solve). cmd/mwld uses it to route non-owned problems to their shard
 // owner while keeping the batch fan-out bounded by this Service's worker
-// pool.
-func (s *Service) SolveBatchVia(ctx context.Context, problems []Problem, solve func(context.Context, Problem) (Solution, error), fn func(i int, r BatchResult)) error {
+// pool, and to hand on the hit bytes of the entries that answer.
+func (s *Service) SolveBatchVia(ctx context.Context, problems []Problem, solve func(context.Context, Problem) BatchResult, fn func(i int, r BatchResult)) error {
 	if solve == nil {
-		solve = s.Solve
+		solve = func(ctx context.Context, p Problem) BatchResult {
+			sol, err := s.Solve(ctx, p)
+			return BatchResult{Solution: sol, Err: err}
+		}
 	}
 	n := len(problems)
 	workers := cap(s.sem)
@@ -467,8 +487,7 @@ func (s *Service) SolveBatchVia(ctx context.Context, problems []Problem, solve f
 					emit(i, BatchResult{Err: err})
 					continue
 				}
-				sol, err := solve(ctx, problems[i])
-				emit(i, BatchResult{Solution: sol, Err: err})
+				emit(i, solve(ctx, problems[i]))
 			}
 		}()
 	}

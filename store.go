@@ -2,8 +2,6 @@ package mwl
 
 import (
 	"container/list"
-	"encoding/json"
-	"fmt"
 
 	"repro/internal/store"
 )
@@ -52,8 +50,8 @@ func (fs *FileStore) Get(key string) (Solution, bool) {
 	if err != nil || !ok {
 		return Solution{}, false
 	}
-	var sol Solution
-	if err := json.Unmarshal(blob, &sol); err != nil {
+	sol, err := DecodeSolution(blob)
+	if err != nil {
 		return Solution{}, false
 	}
 	if sol.Datapath == nil {
@@ -69,11 +67,7 @@ func (fs *FileStore) Get(key string) (Solution, bool) {
 // status it had when stored.
 func (fs *FileStore) Put(key string, sol Solution) error {
 	sol.Cached = false
-	blob, err := json.Marshal(sol)
-	if err != nil {
-		return fmt.Errorf("mwl: encoding solution for store: %w", err)
-	}
-	return fs.d.Put(key, blob)
+	return fs.d.Put(key, sol.AppendJSON(make([]byte, 0, sol.sizeHint())))
 }
 
 // Len reports how many solutions the store holds on disk.
@@ -87,10 +81,11 @@ func (fs *FileStore) Dir() string { return fs.d.Path() }
 // lruEntry is one cached solution with the response a cache hit
 // answers with and its approximate memory footprint.
 type lruEntry struct {
-	key  string
-	sol  Solution
-	hit  []byte // sol's compact JSON encoding with Cached set, plus '\n'
-	size int64
+	key      string
+	sol      Solution
+	hit      []byte // sol's compact JSON encoding with Cached set, plus '\n'
+	cachedAt int    // where in hit the Cached member begins
+	size     int64
 	// unverified marks an entry Admit inserted, on a verifying Service,
 	// that no Verify has checked yet; the Service's mutex guards it.
 	unverified bool
@@ -203,29 +198,22 @@ func (c *lruCache) clear() {
 	c.bytes = 0
 }
 
-// cachedField is what Cached=true adds to a Solution's JSON encoding.
-const cachedField = `,"cached":true`
-
 // newLRUEntry makes the cache entry for sol, encoding once the response
 // of every hit it will answer: compact JSON with Cached set, newline-
 // terminated as cmd/mwld writes its responses. The entry is charged at
 // the length of sol's own encoding plus the key — an approximation,
-// cheap and deterministic. ok=false means sol cannot be encoded, so no
-// hit could be answered from it; the built-in methods never produce
-// such a solution.
-func newLRUEntry(key string, sol Solution) (e *lruEntry, ok bool) {
+// cheap and deterministic.
+func newLRUEntry(key string, sol Solution) *lruEntry {
 	sol.Cached = true
-	blob, err := json.Marshal(sol)
-	if err != nil {
-		return nil, false
-	}
+	blob, cachedAt := sol.appendJSON(make([]byte, 0, sol.sizeHint()))
 	sol.Cached = false
 	return &lruEntry{
-		key:  key,
-		sol:  sol,
-		hit:  append(blob, '\n'),
-		size: int64(len(blob) - len(cachedField) + len(key)),
-	}, true
+		key:      key,
+		sol:      sol,
+		hit:      append(blob, '\n'),
+		cachedAt: cachedAt,
+		size:     int64(len(blob) - len(cachedField) + len(key)),
+	}
 }
 
 // CacheStats is a point-in-time snapshot of the Service's cache and

@@ -251,11 +251,7 @@ func TestProblemHash(t *testing.T) {
 // verdicts keep their 422-vs-500 meaning.
 func TestStreamResultWire(t *testing.T) {
 	ok := mwl.BatchResult{Solution: mwl.Solution{Method: "dpalloc", Area: 42}}
-	rec := mwl.WireStream(3, ok)
-	blob, err := json.Marshal(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := mwl.AppendStreamRecord(nil, 3, ok)
 	if !strings.Contains(string(blob), `"index":3`) {
 		t.Fatalf("record not index-tagged: %s", blob)
 	}
@@ -271,7 +267,7 @@ func TestStreamResultWire(t *testing.T) {
 	}
 
 	// Zero index must still appear on the wire: clients key on it.
-	if blob, _ := json.Marshal(mwl.WireStream(0, ok)); !strings.Contains(string(blob), `"index":0`) {
+	if blob := mwl.AppendStreamRecord(nil, 0, ok); !strings.Contains(string(blob), `"index":0`) {
 		t.Fatalf("index 0 omitted: %s", blob)
 	}
 
