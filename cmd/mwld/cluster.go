@@ -318,21 +318,24 @@ func unavailableStatus(code int) bool {
 	return code == 499 || code == http.StatusServiceUnavailable || code == http.StatusTooManyRequests
 }
 
-// forwardSolve proxies one problem, as its canonical encoding blob with
-// its hash key, to target's /v1/solve — route's forwardFunc for batch
-// members. relayed
-// reports whether the target answered usefully, and counts the request
-// as forwarded: a transport failure (connection refused, mid-restart,
-// truncated response) or an unavailable status (draining, shedding)
-// returns relayed=false and the caller solves locally; any other
-// HTTP-level answer — success or error — is the target's verdict and is
-// returned as-is.
-func (c *cluster) forwardSolve(ctx context.Context, target, key string, blob []byte) (sol mwl.Solution, err error, relayed bool) {
+// forwardSolve proxies one problem, in its canonical encoding with its
+// hash key, to target's /v1/solve — route's forwardFunc for batch
+// members. relayed reports whether the target answered usefully, and
+// counts the request as forwarded: a transport failure (connection
+// refused, mid-restart, truncated response) or an unavailable status
+// (draining, shedding) returns relayed=false and the caller solves
+// locally; any other HTTP-level answer — success or error — is the
+// target's verdict and is returned as-is.
+func (c *cluster) forwardSolve(ctx context.Context, target, key string, p mwl.Problem) (sol mwl.Solution, err error, relayed bool) {
 	defer func() {
 		if relayed {
 			c.forwarded.Add(1)
 		}
 	}()
+	blob, err := p.AppendCanonical(nil)
+	if err != nil {
+		return mwl.Solution{}, err, false
+	}
 	req, err := http.NewRequestWithContext(ctx, "POST", target+"/v1/solve", bytes.NewReader(blob))
 	if err != nil {
 		return mwl.Solution{}, err, false

@@ -258,16 +258,14 @@ func newHandler(cfg handlerConfig) http.Handler {
 		return key
 	}
 	// batchSolve is the per-problem solve of the batch endpoints: each
-	// member is hashed as keyOf does, routed as a single solve is
-	// (cluster.route), forwarded with forwardSolve as the canonical
-	// encoding the hash digested, and a hit answers with its held bytes.
+	// member is routed as a single solve is (cluster.route), forwarded
+	// with forwardSolve, and a hit answers with its held bytes.
 	batchSolve := func(r *http.Request) func(context.Context, mwl.Problem) mwl.BatchResult {
 		rt := routed(r)
 		return func(ctx context.Context, p mwl.Problem) mwl.BatchResult {
-			hashes.Add(1)
-			key, blob, _ := p.Canonical() // as in keyOf
+			key := keyOf(p)
 			sol, hit, err := cl.route(ctx, svc, key, p, rt, func(target string) (mwl.Solution, error, bool) {
-				return cl.forwardSolve(ctx, target, key, blob)
+				return cl.forwardSolve(ctx, target, key, p)
 			})
 			return mwl.BatchResult{Solution: sol, Err: err, Hit: hit}
 		}

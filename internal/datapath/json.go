@@ -179,19 +179,15 @@ func ParseWire(p *wire.Parser) (*Datapath, bool) {
 	var (
 		ops  []dfg.OpID // every instance's operations, back to back
 		ends []int      // per instance: the end of its operations in ops
-		seen uint8      // bits: start, instances
 	)
-	ok := p.Object(func(key []byte) bool {
-		var bit uint8
-		var ok bool
+	ok := p.Members(func(key []byte) uint16 {
 		switch string(key) {
 		case "start":
-			bit = 1
 			if rest := p.Rest(); bytes.IndexByte(rest, '[') >= 0 {
 				end := max(bytes.IndexByte(rest, ']'), 0)
 				dp.Start = make([]int, 0, bytes.Count(rest[:end], []byte{','})+1)
 			}
-			ok = p.Null() || p.Array(func() bool {
+			ok := p.Null() || p.Array(func() bool {
 				s, ok := p.Int()
 				dp.Start = append(dp.Start, s)
 				return ok
@@ -199,29 +195,24 @@ func ParseWire(p *wire.Parser) (*Datapath, bool) {
 			if len(dp.Start) == 0 {
 				dp.Start = nil // as encoding/json's decode appends them
 			}
+			return wire.Bit(1, ok)
 		case "instances":
-			bit = 2
 			if p.Null() {
-				ok = true
-				break
+				return 2
 			}
-			rest := p.Rest()
-			n := min(bytes.Count(rest, []byte{'{'}), len(rest)/minInstanceBytes)
+			arr := arrayBytes(p.Rest())
+			n := min(bytes.Count(arr, []byte{'{'}), len(arr)/minInstanceBytes)
 			dp.Instances = make([]Instance, 0, n)
 			ends = make([]int, 0, n)
 			ops = make([]dfg.OpID, 0, len(dp.Start))
-			ok = p.Array(func() bool {
+			return wire.Bit(2, p.Array(func() bool {
 				in, ok := parseInstance(p, &ops)
 				dp.Instances = append(dp.Instances, in)
 				ends = append(ends, len(ops))
 				return ok
-			})
+			}))
 		}
-		if !ok || seen&bit != 0 {
-			return false
-		}
-		seen |= bit
-		return true
+		return 0
 	})
 	if !ok {
 		return nil, false
@@ -242,40 +233,54 @@ func ParseWire(p *wire.Parser) (*Datapath, bool) {
 	return dp, true
 }
 
+// arrayBytes returns the array at the start of rest through its closing
+// bracket, for sizing: nesting is counted, strings are not looked into,
+// which is exact for every instances array ParseWire accepts — its only
+// strings are keys and class names. Looking to the end of rest instead
+// would size the incumbent of every problem in a batch for the
+// instances of all the problems after it.
+func arrayBytes(rest []byte) []byte {
+	depth := 0
+	for i, c := range rest {
+		switch c {
+		case '[', '{':
+			depth++
+		case ']', '}':
+			if depth--; depth == 0 {
+				return rest[:i+1]
+			}
+		}
+	}
+	return rest
+}
+
 // parseInstance consumes one instance object, appending its operations
 // to ops.
 func parseInstance(p *wire.Parser, ops *[]dfg.OpID) (Instance, bool) {
 	var (
 		class  []byte
 		hi, lo int
-		seen   uint8 // bits: class, hi, lo, ops
 	)
-	ok := p.Object(func(key []byte) bool {
-		var bit uint8
+	ok := p.Members(func(key []byte) uint16 {
 		var ok bool
 		switch string(key) {
 		case "class":
-			bit = 1
 			class, ok = p.Str()
+			return wire.Bit(1, ok)
 		case "hi":
-			bit = 2
 			hi, ok = p.Int()
+			return wire.Bit(2, ok)
 		case "lo":
-			bit = 4
 			lo, ok = p.Int()
+			return wire.Bit(4, ok)
 		case "ops":
-			bit = 8
-			ok = p.Null() || p.Array(func() bool {
+			return wire.Bit(8, p.Null() || p.Array(func() bool {
 				o, ok := p.Int()
 				*ops = append(*ops, dfg.OpID(o))
 				return ok
-			})
+			}))
 		}
-		if !ok || seen&bit != 0 {
-			return false
-		}
-		seen |= bit
-		return true
+		return 0
 	})
 	var in Instance
 	switch string(class) {

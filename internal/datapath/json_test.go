@@ -132,3 +132,25 @@ func FuzzDatapathWire(f *testing.F) {
 		}
 	})
 }
+
+// TestParseWireSizesFromItsOwnArrays: a datapath read from the middle of
+// a larger document, as a batch member's incumbent is, is sized for its
+// own instances, not for every object in the rest of the document.
+func TestParseWireSizesFromItsOwnArrays(t *testing.T) {
+	blob := sampleDatapath().AppendJSON(nil)
+	doc := append([]byte{'['}, blob...)
+	for i := 0; i < 20; i++ {
+		doc = append(append(doc, ','), blob...)
+	}
+	p := wire.NewParser(append(doc, ']'))
+	if !p.Eat('[') {
+		t.Fatal("no array")
+	}
+	got, ok := ParseWire(&p)
+	if !ok {
+		t.Fatal("the first datapath missed the one-pass path")
+	}
+	if n, c := len(got.Instances), cap(got.Instances); c != n {
+		t.Fatalf("datapath of %d instances sized for %d", n, c)
+	}
+}

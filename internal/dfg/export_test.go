@@ -6,3 +6,7 @@ func Canonical(data []byte) bool {
 	_, _, ok := parseCanonical(data)
 	return ok
 }
+
+// Capacity returns the capacity the graph's operation list was sized
+// for.
+func Capacity(g *Graph) int { return cap(g.ops) }

@@ -206,22 +206,16 @@ func ParseWire(p *wire.Parser) (*Graph, bool) {
 // copy of the document.
 func parseGraph(p *wire.Parser) (g *Graph, deps [][2]int, ok bool) {
 	g = New()
-	var seen uint8 // bits: ops, deps
-	ok = p.Object(func(key []byte) bool {
-		var bit uint8
-		var ok bool
+	ok = p.Members(func(key []byte) uint16 {
 		switch string(key) {
 		case "ops":
-			bit, ok = 1, parseOps(p, g)
+			return wire.Bit(1, parseOps(p, g))
 		case "deps":
-			bit = 2
+			var ok bool
 			deps, ok = parseDeps(p)
+			return wire.Bit(2, ok)
 		}
-		if !ok || seen&bit != 0 {
-			return false
-		}
-		seen |= bit
-		return true
+		return 0
 	})
 	return g, deps, ok
 }
@@ -232,9 +226,15 @@ const minOpBytes = len(`{"type":"add","hi":1}`)
 
 // parseOps consumes the operations array, appending each operation to g.
 func parseOps(p *wire.Parser, g *Graph) bool {
-	// Size the graph for every operation the rest of the document can
-	// hold: each needs an object of at least minOpBytes.
+	// Size the graph for every operation the array can hold: each is an
+	// object of at least minOpBytes, and none holds an array, so the
+	// first ']' ends the array unless a name holds one, which only
+	// undercounts. Looking further would size every graph of a batch for
+	// the operations of all the graphs after it.
 	rest := p.Rest()
+	if end := bytes.IndexByte(rest, ']'); end >= 0 {
+		rest = rest[:end]
+	}
 	n := min(bytes.Count(rest, []byte{'{'}), len(rest)/minOpBytes)
 	g.ops = make([]Op, 0, n)
 	g.succ = make([][]OpID, 0, n)
@@ -248,30 +248,24 @@ func parseOp(p *wire.Parser, g *Graph) bool {
 		name     string
 		typeName []byte
 		hi, lo   int
-		seen     uint8 // bits: name, type, hi, lo
 	)
-	ok := p.Object(func(key []byte) bool {
-		var bit uint8
+	ok := p.Members(func(key []byte) uint16 {
 		var ok bool
 		switch string(key) {
 		case "name":
-			bit = 1
 			name, ok = p.Name()
+			return wire.Bit(1, ok)
 		case "type":
-			bit = 2
 			typeName, ok = p.Str()
+			return wire.Bit(2, ok)
 		case "hi":
-			bit = 4
 			hi, ok = p.Int()
+			return wire.Bit(4, ok)
 		case "lo":
-			bit = 8
 			lo, ok = p.Int()
+			return wire.Bit(8, ok)
 		}
-		if !ok || seen&bit != 0 {
-			return false
-		}
-		seen |= bit
-		return true
+		return 0
 	})
 	if !ok {
 		return false
@@ -296,7 +290,12 @@ func parseDeps(p *wire.Parser) ([][2]int, bool) {
 	if p.Null() {
 		return nil, true
 	}
+	// As parseOps does: no '}' occurs inside the array, so the first one
+	// bounds it.
 	rest := p.Rest()
+	if end := bytes.IndexByte(rest, '}'); end >= 0 {
+		rest = rest[:end]
+	}
 	deps := make([][2]int, 0, min(bytes.Count(rest, []byte{'['}), len(rest)/len("[0,0]")))
 	ok := p.Array(func() bool {
 		if !p.Eat('[') {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/dfg"
 	"repro/internal/model"
 	"repro/internal/tgff"
+	"repro/internal/wire"
 )
 
 // refGraph and refOp are the interchange format as plain encoding/json
@@ -254,5 +255,34 @@ func TestMarshalledGraphsTakeTheFastPath(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestParseWireSizesFromItsOwnArrays: a graph read from the middle of a
+// larger document, as each problem of a batch is, is sized for its own
+// operations, not for every operation in the rest of the document.
+func TestParseWireSizesFromItsOwnArrays(t *testing.T) {
+	g, err := tgff.Generate(tgff.Config{N: 30, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := json.Marshal(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := append([]byte{'['}, blob...)
+	for i := 0; i < 20; i++ {
+		doc = append(append(doc, ','), blob...)
+	}
+	p := wire.NewParser(append(doc, ']'))
+	if !p.Eat('[') {
+		t.Fatal("no array")
+	}
+	got, ok := dfg.ParseWire(&p)
+	if !ok {
+		t.Fatal("the first graph missed the one-pass path")
+	}
+	if c := dfg.Capacity(got); c != g.N() {
+		t.Fatalf("graph of %d operations sized for %d", g.N(), c)
 	}
 }

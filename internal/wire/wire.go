@@ -108,14 +108,6 @@ func AppendFloat(b []byte, f float64) ([]byte, error) {
 	return b, nil
 }
 
-// AppendBool appends a JSON boolean.
-func AppendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, "true"...)
-	}
-	return append(b, "false"...)
-}
-
 // Key appends the key of an object member, a plain ASCII name, and its
 // colon. open is the index in b of the object's opening brace: every
 // member but the first is preceded by a comma.
@@ -141,7 +133,8 @@ func Key(b []byte, open int, key string) []byte {
 // Every method skips leading whitespace and reports false, consuming an
 // arbitrary prefix, when the input does not continue as expected.
 // Callers decide which keys and values an object admits; the usual rule
-// is exact keys, each at most once, and anything else reported false.
+// is exact keys, each at most once (Members), and anything else
+// reported false.
 type Parser struct {
 	data []byte
 	pos  int
@@ -154,8 +147,8 @@ func NewParser(data []byte) Parser { return Parser{data: data} }
 // Rest returns the input not yet consumed.
 func (p *Parser) Rest() []byte { return p.data[p.pos:] }
 
-// WS skips whitespace.
-func (p *Parser) WS() {
+// ws skips whitespace.
+func (p *Parser) ws() {
 	data, i := p.data, p.pos
 	for i < len(data) && (data[i] == ' ' || data[i] == '\n' || data[i] == '\t' || data[i] == '\r') {
 		i++
@@ -165,13 +158,13 @@ func (p *Parser) WS() {
 
 // Done reports whether nothing but whitespace is left.
 func (p *Parser) Done() bool {
-	p.WS()
+	p.ws()
 	return p.pos == len(p.data)
 }
 
 // Eat consumes the byte c.
 func (p *Parser) Eat(c byte) bool {
-	p.WS()
+	p.ws()
 	if p.pos < len(p.data) && p.data[p.pos] == c {
 		p.pos++
 		return true
@@ -179,9 +172,9 @@ func (p *Parser) Eat(c byte) bool {
 	return false
 }
 
-// Next consumes the separator after a member or element: a comma
+// next consumes the separator after a member or element: a comma
 // (more=true) or the closing byte (more=false).
-func (p *Parser) Next(closing byte) (more, ok bool) {
+func (p *Parser) next(closing byte) (more, ok bool) {
 	if p.Eat(',') {
 		return true, true
 	}
@@ -199,11 +192,37 @@ func (p *Parser) Object(member func(key []byte) bool) bool {
 		if !ok || !p.Eat(':') || !member(key) {
 			return false
 		}
-		if more, ok = p.Next('}'); !ok {
+		if more, ok = p.next('}'); !ok {
 			return false
 		}
 	}
 	return true
+}
+
+// Members consumes an object under the usual rule of the canonical
+// subset: exact keys, each at most once. member consumes the value of
+// key and returns the key's bit, or 0 when the key is unknown or its
+// value lies outside the subset (see Bit); a repeated bit reports
+// false.
+func (p *Parser) Members(member func(key []byte) uint16) bool {
+	var seen uint16
+	return p.Object(func(key []byte) bool {
+		bit := member(key)
+		if bit == 0 || seen&bit != 0 {
+			return false
+		}
+		seen |= bit
+		return true
+	})
+}
+
+// Bit is what a Members callback returns for a value that was, or was
+// not, consumed: bit, or 0.
+func Bit(bit uint16, ok bool) uint16 {
+	if !ok {
+		return 0
+	}
+	return bit
 }
 
 // Array consumes an array, calling elem to consume each element.
@@ -216,7 +235,7 @@ func (p *Parser) Array(elem func() bool) bool {
 			return false
 		}
 		var ok bool
-		if more, ok = p.Next(']'); !ok {
+		if more, ok = p.next(']'); !ok {
 			return false
 		}
 	}
@@ -225,7 +244,7 @@ func (p *Parser) Array(elem func() bool) bool {
 
 // literal consumes the bare word w.
 func (p *Parser) literal(w string) bool {
-	p.WS()
+	p.ws()
 	if len(p.data)-p.pos >= len(w) && string(p.data[p.pos:p.pos+len(w)]) == w {
 		p.pos += len(w)
 		return true
@@ -288,7 +307,7 @@ func (p *Parser) Name() (string, bool) {
 // must have at most 19 digits: any int64 does, and any such magnitude
 // fits a uint64. A fraction or exponent is left unconsumed.
 func (p *Parser) digits() (u uint64, neg, ok bool) {
-	p.WS()
+	p.ws()
 	neg = p.pos < len(p.data) && p.data[p.pos] == '-'
 	if neg {
 		p.pos++
@@ -337,7 +356,7 @@ func (p *Parser) Int() (int, bool) {
 // Float consumes a number without an exponent, -?(0|[1-9][0-9]*)(\.[0-9]+)?,
 // and converts it as encoding/json does.
 func (p *Parser) Float() (float64, bool) {
-	p.WS()
+	p.ws()
 	start := p.pos
 	if p.pos < len(p.data) && p.data[p.pos] == '-' {
 		p.pos++

@@ -35,10 +35,13 @@ import (
 // canonical encoding and cannot be hashed.
 func (p Problem) Hash() (string, error) {
 	buf := hashBufs.Get().(*[]byte)
-	blob, err := p.appendCanonical((*buf)[:0])
+	blob, err := p.AppendCanonical((*buf)[:0])
 	var key string
 	if err == nil {
-		key = hashOf(blob)
+		sum := sha256.Sum256(blob)
+		var out [2 * sha256.Size]byte
+		hex.Encode(out[:], sum[:])
+		key = string(out[:])
 	}
 	if cap(blob) <= maxPooledHashBuf {
 		*buf = blob[:0]
@@ -47,38 +50,21 @@ func (p Problem) Hash() (string, error) {
 	return key, err
 }
 
-// Canonical returns the problem's hash together with the canonical
-// encoding it digests, for a caller that sends the problem on: a
-// request decoded from that encoding hashes to key again.
-func (p Problem) Canonical() (key string, blob []byte, err error) {
-	blob, err = p.appendCanonical(nil)
-	if err != nil {
-		return "", nil, err
-	}
-	return hashOf(blob), blob, nil
-}
-
 // hashBufs holds Hash's encoding buffers; one larger than
 // maxPooledHashBuf, from an outsized graph, is left to the collector.
 var hashBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 const maxPooledHashBuf = 256 << 10
 
-// appendCanonical appends the canonical encoding: AppendJSON's with the
-// method name resolved.
-func (p Problem) appendCanonical(b []byte) ([]byte, error) {
+// AppendCanonical appends the canonical encoding Hash digests:
+// AppendJSON's, with the method name resolved. A request decoded from it
+// hashes as p does, so it is the form in which a problem is sent on.
+func (p Problem) AppendCanonical(b []byte) ([]byte, error) {
 	if p.Lib != nil {
 		return b, errors.New("mwl: problem with in-memory Library override has no canonical hash")
 	}
 	p.Method = p.method()
 	return p.AppendJSON(b)
-}
-
-func hashOf(blob []byte) string {
-	sum := sha256.Sum256(blob)
-	var out [2 * sha256.Size]byte
-	hex.Encode(out[:], sum[:])
-	return string(out[:])
 }
 
 // AppendJSON appends the problem's v1 JSON encoding to b. It fails only
@@ -385,19 +371,16 @@ func DecodeProblem(data []byte) (Problem, error) {
 func DecodeBatchRequest(data []byte) (BatchRequest, error) {
 	pr := wire.NewParser(data)
 	var req BatchRequest
-	ok := pr.Object(func(key []byte) bool {
-		if string(key) != "problems" || req.Problems != nil {
-			return false // unknown, or a duplicate
-		}
-		if pr.Null() {
-			return false // as absent; encoding/json decides
+	ok := pr.Members(func(key []byte) uint16 {
+		if string(key) != "problems" || pr.Null() {
+			return 0 // unknown, or null: encoding/json decides
 		}
 		req.Problems = []Problem{}
-		return pr.Array(func() bool {
+		return wire.Bit(1, pr.Array(func() bool {
 			p, ok := parseProblem(&pr)
 			req.Problems = append(req.Problems, p)
 			return ok
-		})
+		}))
 	})
 	if ok && pr.Done() {
 		return req, nil
@@ -426,58 +409,35 @@ func unmarshal[T any](data []byte) (T, error) {
 	return v, nil
 }
 
-// members consumes an object whose members all have distinct keys, each
-// at most once: member consumes the value of key and returns its bit, or
-// 0 when the key is unknown or its value outside the canonical subset.
-func members(pr *wire.Parser, member func(key []byte) uint16) bool {
-	var seen uint16
-	return pr.Object(func(key []byte) bool {
-		bit := member(key)
-		if bit == 0 || seen&bit != 0 {
-			return false
-		}
-		seen |= bit
-		return true
-	})
-}
-
-// ok16 maps a parse outcome to a member bit.
-func ok16(bit uint16, ok bool) uint16 {
-	if !ok {
-		return 0
-	}
-	return bit
-}
-
 // parseProblem consumes one Problem object in the canonical subset:
 // the exact keys of its tags, each at most once; null only for the
 // graph.
 func parseProblem(pr *wire.Parser) (p Problem, ok bool) {
-	ok = members(pr, func(key []byte) uint16 {
+	ok = pr.Members(func(key []byte) uint16 {
 		switch string(key) {
 		case "method":
 			var ok bool
 			p.Method, ok = pr.Text()
-			return ok16(1, ok)
+			return wire.Bit(1, ok)
 		case "graph":
 			if pr.Null() {
 				return 2
 			}
 			var ok bool
 			p.Graph, ok = dfg.ParseWire(pr)
-			return ok16(2, ok)
+			return wire.Bit(2, ok)
 		case "lambda":
 			var ok bool
 			p.Lambda, ok = pr.Int()
-			return ok16(4, ok)
+			return wire.Bit(4, ok)
 		case "ii":
 			var ok bool
 			p.II, ok = pr.Int()
-			return ok16(8, ok)
+			return wire.Bit(8, ok)
 		case "library":
-			return ok16(16, parseLibrary(pr, &p.Library))
+			return wire.Bit(16, parseLibrary(pr, &p.Library))
 		case "options":
-			return ok16(32, parseOptions(pr, &p.Options))
+			return wire.Bit(32, parseOptions(pr, &p.Options))
 		}
 		return 0
 	})
@@ -485,59 +445,59 @@ func parseProblem(pr *wire.Parser) (p Problem, ok bool) {
 }
 
 func parseLibrary(pr *wire.Parser, l *LibrarySpec) bool {
-	return members(pr, func(key []byte) uint16 {
+	return pr.Members(func(key []byte) uint16 {
 		var ok bool
 		switch string(key) {
 		case "adder_latency":
 			l.AdderLatency, ok = pr.Int()
-			return ok16(1, ok)
+			return wire.Bit(1, ok)
 		case "mul_bits_per_cycle":
 			l.MulBitsPerCycle, ok = pr.Int()
-			return ok16(2, ok)
+			return wire.Bit(2, ok)
 		case "adder_area_per_bit":
 			l.AdderAreaPerBit, ok = pr.Int64()
-			return ok16(4, ok)
+			return wire.Bit(4, ok)
 		case "mul_area_scale":
 			l.MulAreaScale, ok = pr.Int64()
-			return ok16(8, ok)
+			return wire.Bit(8, ok)
 		}
 		return 0
 	})
 }
 
 func parseOptions(pr *wire.Parser, o *SolveOptions) bool {
-	return members(pr, func(key []byte) uint16 {
+	return pr.Members(func(key []byte) uint16 {
 		var ok bool
 		switch string(key) {
 		case "time_limit_ns":
 			var ns int64
 			ns, ok = pr.Int64()
 			o.TimeLimit = time.Duration(ns)
-			return ok16(1, ok)
+			return wire.Bit(1, ok)
 		case "node_limit":
 			o.NodeLimit, ok = pr.Int()
-			return ok16(2, ok)
+			return wire.Bit(2, ok)
 		case "limits":
 			o.Limits, ok = parseMap[int](pr)
-			return ok16(4, ok)
+			return wire.Bit(4, ok)
 		case "incumbent":
 			if pr.Null() {
 				return 8
 			}
 			o.Incumbent, ok = datapath.ParseWire(pr)
-			return ok16(8, ok)
+			return wire.Bit(8, ok)
 		case "seed":
 			o.Seed, ok = pr.Int64()
-			return ok16(16, ok)
+			return wire.Bit(16, ok)
 		case "anneal_moves":
 			o.AnnealMoves, ok = pr.Int()
-			return ok16(32, ok)
+			return wire.Bit(32, ok)
 		case "anneal_init_temp":
 			o.AnnealInitTemp, ok = pr.Float()
-			return ok16(64, ok)
+			return wire.Bit(64, ok)
 		case "anneal_cooling":
 			o.AnnealCooling, ok = pr.Float()
-			return ok16(128, ok)
+			return wire.Bit(128, ok)
 		case "portfolio":
 			if pr.Null() {
 				return 256
@@ -548,7 +508,7 @@ func parseOptions(pr *wire.Parser, o *SolveOptions) bool {
 				o.Portfolio = append(o.Portfolio, m)
 				return ok
 			})
-			return ok16(256, ok)
+			return wire.Bit(256, ok)
 		}
 		return 0
 	})
@@ -574,37 +534,37 @@ func parseMap[V int | int64](pr *wire.Parser) (map[string]V, bool) {
 // the exact keys of its tags, each at most once; null only for the
 // datapath and the area breakdown.
 func parseSolution(pr *wire.Parser) (sol Solution, ok bool) {
-	ok = members(pr, func(key []byte) uint16 {
+	ok = pr.Members(func(key []byte) uint16 {
 		var ok bool
 		switch string(key) {
 		case "method":
 			sol.Method, ok = pr.Text()
-			return ok16(1, ok)
+			return wire.Bit(1, ok)
 		case "datapath":
 			if pr.Null() {
 				return 2
 			}
 			sol.Datapath, ok = datapath.ParseWire(pr)
-			return ok16(2, ok)
+			return wire.Bit(2, ok)
 		case "area":
 			sol.Area, ok = pr.Int64()
-			return ok16(4, ok)
+			return wire.Bit(4, ok)
 		case "makespan":
 			sol.Makespan, ok = pr.Int()
-			return ok16(8, ok)
+			return wire.Bit(8, ok)
 		case "area_by_kind":
 			sol.AreaByKind, ok = parseMap[int64](pr)
-			return ok16(16, ok)
+			return wire.Bit(16, ok)
 		case "elapsed_ns":
 			var ns int64
 			ns, ok = pr.Int64()
 			sol.Elapsed = time.Duration(ns)
-			return ok16(32, ok)
+			return wire.Bit(32, ok)
 		case "cached":
 			sol.Cached, ok = pr.Bool()
-			return ok16(64, ok)
+			return wire.Bit(64, ok)
 		case "stats":
-			return ok16(128, parseStats(pr, &sol.Stats))
+			return wire.Bit(128, parseStats(pr, &sol.Stats))
 		}
 		return 0
 	})
@@ -612,45 +572,45 @@ func parseSolution(pr *wire.Parser) (sol Solution, ok bool) {
 }
 
 func parseStats(pr *wire.Parser, st *SolveStats) bool {
-	return members(pr, func(key []byte) uint16 {
+	return pr.Members(func(key []byte) uint16 {
 		var ok bool
 		switch string(key) {
 		case "iterations":
 			st.Iterations, ok = pr.Int()
-			return ok16(1, ok)
+			return wire.Bit(1, ok)
 		case "refinements":
 			st.Refinements, ok = pr.Int()
-			return ok16(2, ok)
+			return wire.Bit(2, ok)
 		case "configs":
 			st.Configs, ok = pr.Int()
-			return ok16(4, ok)
+			return wire.Bit(4, ok)
 		case "nodes":
 			st.Nodes, ok = pr.Int64()
-			return ok16(8, ok)
+			return wire.Bit(8, ok)
 		case "vars":
 			st.Vars, ok = pr.Int()
-			return ok16(16, ok)
+			return wire.Bit(16, ok)
 		case "rows":
 			st.Rows, ok = pr.Int()
-			return ok16(32, ok)
+			return wire.Bit(32, ok)
 		case "timed_out":
 			st.TimedOut, ok = pr.Bool()
-			return ok16(64, ok)
+			return wire.Bit(64, ok)
 		case "moves":
 			st.Moves, ok = pr.Int()
-			return ok16(128, ok)
+			return wire.Bit(128, ok)
 		case "accepted":
 			st.Accepted, ok = pr.Int()
-			return ok16(256, ok)
+			return wire.Bit(256, ok)
 		case "merges":
 			st.Merges, ok = pr.Int()
-			return ok16(512, ok)
+			return wire.Bit(512, ok)
 		case "evals":
 			st.Evals, ok = pr.Int()
-			return ok16(1024, ok)
+			return wire.Bit(1024, ok)
 		case "winner":
 			st.Winner, ok = pr.Text()
-			return ok16(2048, ok)
+			return wire.Bit(2048, ok)
 		}
 		return 0
 	})
