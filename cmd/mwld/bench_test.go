@@ -83,7 +83,7 @@ func BenchmarkServe(b *testing.B) {
 		{"copy-hit", peer.url + "/v1/solve", body, false, true},
 	} {
 		if c.admit {
-			sol, _, ok := owner.svc.Peek(key)
+			sol, ok := owner.svc.Peek(key)
 			if !ok {
 				b.Fatal("owner holds no answer to copy")
 			}

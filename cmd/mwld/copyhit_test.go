@@ -99,7 +99,7 @@ func TestCopyHitBatchAndStream(t *testing.T) {
 	var want []mwl.Solution
 	for _, p := range problems {
 		key := solveWithCopy(t, owner, peer, p)
-		sol, _, ok := owner.svc.Peek(key)
+		sol, ok := owner.svc.Peek(key)
 		if !ok {
 			t.Fatal("owner lost its answer")
 		}
@@ -211,7 +211,7 @@ func TestForwardedRequestIgnoresCopyHits(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&sol); err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("forwarded request: status %d, %v", resp.StatusCode, err)
 	}
-	want, _, _ := owner.svc.Peek(key)
+	want, _ := owner.svc.Peek(key)
 	want.Cached = true
 	if !bytes.Equal(mustJSON(t, sol), mustJSON(t, want)) {
 		t.Fatalf("forwarded request answered %+v, want the copy", sol)
@@ -291,7 +291,7 @@ func TestCopyHitVerifiedUnderVerify(t *testing.T) {
 		t.Helper()
 		p := pick(owner)
 		key := solveWithCopy(t, owner, peer, p)
-		good, _, _ := owner.svc.Peek(key)
+		good, _ := owner.svc.Peek(key)
 		peer.svc.Admit(key, narrowed(t, p, good), nil)
 		return p
 	}
@@ -348,7 +348,7 @@ func TestCopyHitVerifiedUnderVerify(t *testing.T) {
 	if got := peer.svc.CacheStats().VerifyFailures; got != failures {
 		t.Fatalf("a sound copy failed Verify: %d failures, want %d", got, failures)
 	}
-	if _, _, ok := peer.svc.Peek(key); !ok {
+	if _, ok := peer.svc.Peek(key); !ok {
 		t.Fatal("the sound copy was dropped")
 	}
 }

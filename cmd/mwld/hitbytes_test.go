@@ -68,7 +68,7 @@ func do(t *testing.T, method, url string, body []byte) int {
 // for the solution the Service holds, with Cached set.
 func wantHit(t *testing.T, svc *mwl.Service, key string) []byte {
 	t.Helper()
-	sol, _, ok := svc.Peek(key)
+	sol, ok := svc.Peek(key)
 	if !ok {
 		t.Fatalf("key %s not cached", key)
 	}
@@ -134,7 +134,7 @@ func TestHitAnswersWithEncodedBytes(t *testing.T) {
 	postRaw(t, owner.url, body)
 	check("routed to owner", postRaw(t, owner.url, body), owner.svc)
 	check("relayed", postRaw(t, peer.url, body), owner.svc)
-	if _, _, ok := peer.svc.Peek(key); ok {
+	if _, ok := peer.svc.Peek(key); ok {
 		t.Fatal("the relaying replica cached the owner's answer")
 	}
 }
@@ -160,7 +160,7 @@ func TestCacheBytesFollowByteCap(t *testing.T) {
 		problems, keys = append(problems, p), append(keys, key)
 	}
 	charge := func(svc *mwl.Service, key string) int64 {
-		sol, _, ok := svc.Peek(key)
+		sol, ok := svc.Peek(key)
 		if !ok {
 			return 0
 		}

@@ -389,12 +389,12 @@ func newHandler(cfg handlerConfig) http.Handler {
 			writeError(w, http.StatusBadRequest, errors.New("key must be a 64-character lowercase hex problem hash"))
 			return
 		}
-		_, body, ok := svc.Peek(key)
+		sol, ok := svc.Peek(key)
 		if !ok {
 			writeError(w, http.StatusNotFound, errors.New("no stored solution for key"))
 			return
 		}
-		writeBody(w, http.StatusOK, body)
+		writeBody(w, http.StatusOK, append(sol.AppendJSON(nil), '\n'))
 	})
 	mux.HandleFunc("PUT /internal/v1/solution/{key}", func(w http.ResponseWriter, r *http.Request) {
 		key := r.PathValue("key")

@@ -165,7 +165,7 @@ func TestHealthFailoverServesReplicatedCopy(t *testing.T) {
 		t.Fatalf("owner ran %d solves, want 1", got)
 	}
 	waitFor(t, "replica copy on rank-1 peer", func() bool {
-		_, _, ok := second.svc.Peek(key)
+		_, ok := second.svc.Peek(key)
 		return ok
 	})
 
@@ -293,7 +293,7 @@ func TestReadThroughFetchesRankedCopy(t *testing.T) {
 		t.Fatalf("acting replica recomputed: %d misses, want 0", got)
 	}
 	// The fetched copy is now local: a repeat does not fetch again.
-	if _, _, ok := acting.svc.Peek(key); !ok {
+	if _, ok := acting.svc.Peek(key); !ok {
 		t.Fatal("fetched copy was not admitted locally")
 	}
 }
@@ -646,7 +646,7 @@ func TestSolutionEndpointValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("valid PUT: status %d, want 204", resp.StatusCode)
 	}
-	if sol, _, ok := svc.Peek(key); !ok || sol.Area != 7 {
+	if sol, ok := svc.Peek(key); !ok || sol.Area != 7 {
 		t.Fatalf("PUT entry not visible to Peek: (%+v, %v)", sol, ok)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	mwl "repro"
-	"repro/internal/wire"
 )
 
 // omitzeroHonoured reports whether this toolchain's encoding/json
@@ -137,26 +136,38 @@ func TestResponseBytesMatchEncodingJSON(t *testing.T) {
 // TestCanonicalHitTakesNoEncodingJSON: a cache hit on a body in the
 // canonical form — json.Marshal's — is decoded, hashed and answered
 // without encoding/json; a body outside that form is still decoded by
-// it.
+// it. The two bodies decode to the same Problem and answer with the
+// same bytes, so only the decoder that reads them can tell their
+// allocations apart: were the canonical body handed to encoding/json
+// as well, the counts would be equal.
 func TestCanonicalHitTakesNoEncodingJSON(t *testing.T) {
-	srv := httptest.NewServer(newHandler(handlerConfig{svc: mwl.NewService(1), maxBody: 1 << 20}))
-	defer srv.Close()
+	h := newHandler(handlerConfig{svc: mwl.NewService(1), maxBody: 1 << 20})
 	g, err := mwl.GenerateRandom(mwl.RandomConfig{N: 30, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := mustJSON(t, mwl.Problem{Graph: g, Lambda: 80, Options: mwl.SolveOptions{Seed: 3}})
-	post(t, srv.URL+"/v1/solve", body)
-
-	before := wire.Fallbacks.Load()
-	if hit := post(t, srv.URL+"/v1/solve", body); !bytes.Contains(hit, []byte(`"cached":true`)) {
-		t.Fatalf("second solve was not a hit: %s", hit)
+	canonical := mustJSON(t, mwl.Problem{Graph: g, Lambda: 80, Options: mwl.SolveOptions{Seed: 3}})
+	variant := bytes.Replace(canonical, []byte(`"lambda"`), []byte(`"Lambda"`), 1)
+	hit := func(body []byte) []byte {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes()
 	}
-	if n := wire.Fallbacks.Load() - before; n != 0 {
-		t.Fatalf("the canonical hit path handed %d documents to encoding/json", n)
+	hit(canonical)
+	want := hit(canonical)
+	if !bytes.Contains(want, []byte(`"cached":true`)) {
+		t.Fatalf("second solve was not a hit: %s", want)
 	}
-	post(t, srv.URL+"/v1/solve", bytes.Replace(body, []byte(`"lambda"`), []byte(`"Lambda"`), 1))
-	if wire.Fallbacks.Load() == before {
-		t.Fatal("a case-variant key did not reach encoding/json")
+	if got := hit(variant); !bytes.Equal(got, want) {
+		t.Fatalf("the case-variant body answered\n%s\nwant\n%s", got, want)
 	}
+	fast := testing.AllocsPerRun(20, func() { hit(canonical) })
+	slow := testing.AllocsPerRun(20, func() { hit(variant) })
+	if fast >= slow {
+		t.Fatalf("a canonical hit allocates %.0f times, as many as an encoding/json decode of the same problem (%.0f)", fast, slow)
+	}
+	t.Logf("hit allocations: canonical %.0f, encoding/json %.0f", fast, slow)
 }

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	mwl "repro"
-	"repro/internal/wire"
 )
 
 // omitzeroHonoured reports whether this toolchain's encoding/json
@@ -221,13 +220,9 @@ func TestCodecSeesEveryField(t *testing.T) {
 			t.Fatalf("Problem.%s: %v", path, err)
 		}
 		checkSameBytes(t, "Problem."+path, blob, p)
-		f0 := wire.Fallbacks.Load()
-		back, err := mwl.DecodeProblem(blob)
-		if err != nil {
-			t.Fatalf("Problem.%s: %v\n%s", path, err, blob)
-		}
-		if wire.Fallbacks.Load() != f0 {
-			t.Errorf("Problem.%s: the encoding fell back to encoding/json:\n%s", path, blob)
+		back, ok := mwl.ParseProblem(blob)
+		if !ok {
+			t.Fatalf("Problem.%s: the encoding would fall back to encoding/json:\n%s", path, blob)
 		}
 		if d := sameProblem(back, p); d != nil {
 			t.Errorf("Problem.%s: round trip: %v", path, d)
@@ -244,13 +239,9 @@ func TestCodecSeesEveryField(t *testing.T) {
 		}
 		blob := sol.AppendJSON(nil)
 		checkSameBytes(t, "Solution."+path, blob, sol)
-		f0 := wire.Fallbacks.Load()
-		back, err := mwl.DecodeSolution(blob)
-		if err != nil {
-			t.Fatalf("Solution.%s: %v\n%s", path, err, blob)
-		}
-		if wire.Fallbacks.Load() != f0 {
-			t.Errorf("Solution.%s: the encoding fell back to encoding/json:\n%s", path, blob)
+		back, ok := mwl.ParseSolution(blob)
+		if !ok {
+			t.Fatalf("Solution.%s: the encoding would fall back to encoding/json:\n%s", path, blob)
 		}
 		if !reflect.DeepEqual(back, sol) {
 			t.Errorf("Solution.%s: round trip:\n%+v\n%+v", path, back, sol)

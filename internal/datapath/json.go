@@ -83,7 +83,6 @@ func (dp *Datapath) UnmarshalJSON(data []byte) error {
 		*dp = *nd
 		return nil
 	}
-	wire.Fallbacks.Add(1)
 	nd, err := unmarshalSchema(data)
 	if err != nil {
 		return err

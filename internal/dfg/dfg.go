@@ -105,7 +105,10 @@ var ErrCyclic = errors.New("dfg: sequencing graph contains a cycle")
 // with two min-heaps in O((V+E) log V) instead of O(V²) sweeps.
 func (g *Graph) TopoOrder() ([]OpID, error) {
 	n := len(g.ops)
-	indeg := make([]int, n)
+	// One buffer: the in-degrees, then room for each heap to hold every
+	// operation, so neither ever grows.
+	buf := make([]int, 3*n)
+	indeg := buf[:n]
 	for _, ss := range g.succ {
 		for _, s := range ss {
 			indeg[s]++
@@ -113,7 +116,7 @@ func (g *Graph) TopoOrder() ([]OpID, error) {
 	}
 	// cur holds ready IDs the current sweep has not passed yet; next
 	// holds IDs freed behind the sweep position, placed next round.
-	var cur, next intHeap
+	cur, next := intHeap(buf[n:n:2*n]), intHeap(buf[2*n:2*n])
 	for i := 0; i < n; i++ {
 		if indeg[i] == 0 {
 			cur.push(i)
@@ -192,40 +195,8 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("dfg: operation %d (%s) has invalid signature %v", o.ID, o.Name, o.Spec.Sig)
 		}
 	}
-	if !g.acyclic() {
-		return ErrCyclic
-	}
-	return nil
-}
-
-// acyclic reports whether the dependencies form no cycle: Kahn's
-// algorithm, in any order, in one allocation.
-func (g *Graph) acyclic() bool {
-	n := len(g.ops)
-	buf := make([]int, 2*n)
-	indeg, ready := buf[:n], buf[n:n] // each operation is ready once
-	for _, ss := range g.succ {
-		for _, s := range ss {
-			indeg[s]++
-		}
-	}
-	for o, d := range indeg {
-		if d == 0 {
-			ready = append(ready, o)
-		}
-	}
-	done := 0
-	for len(ready) > 0 {
-		o := ready[len(ready)-1]
-		ready = ready[:len(ready)-1]
-		done++
-		for _, s := range g.succ[o] {
-			if indeg[s]--; indeg[s] == 0 {
-				ready = append(ready, int(s))
-			}
-		}
-	}
-	return done == n
+	_, err := g.TopoOrder()
+	return err
 }
 
 // Latencies maps each operation to a positive cycle count.

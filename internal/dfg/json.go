@@ -101,7 +101,6 @@ func (g *Graph) AppendJSON(b []byte) []byte {
 func (g *Graph) UnmarshalJSON(data []byte) error {
 	ng, deps, ok := parseCanonical(data)
 	if !ok {
-		wire.Fallbacks.Add(1)
 		var jg jsonGraph
 		if err := json.Unmarshal(data, &jg); err != nil {
 			return err

@@ -17,14 +17,8 @@ import (
 	"errors"
 	"math"
 	"strconv"
-	"sync/atomic"
 	"unicode/utf8"
 )
-
-// Fallbacks counts the documents handed to encoding/json because they
-// lie outside the canonical subset. A request in the form the encoders
-// emit never moves it.
-var Fallbacks atomic.Uint64
 
 // ---- encoding ----
 

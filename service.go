@@ -283,30 +283,21 @@ func (s *Service) Hit(key string, p *Problem) (sol Solution, hit []byte, ok bool
 
 // Peek returns the cached or stored solution for a problem hash without
 // running a solver or waiting on one — the serving half of cluster
-// replication read-through — together with its response body: the
-// solution's compact JSON encoding, newline-terminated, cut from the
-// cache entry's hit bytes when the LRU holds it. It does not count as a
-// cache hit, does not refresh LRU recency, and does not verify: a peer
-// fetching a copy is not local workload evidence, and checks the copy
-// against its own problem when it admits it.
-func (s *Service) Peek(key string) (sol Solution, body []byte, ok bool) {
+// replication read-through. It does not count as a cache hit, does not
+// refresh LRU recency, and does not verify: a peer fetching a copy is
+// not local workload evidence, and checks the copy against its own
+// problem when it admits it.
+func (s *Service) Peek(key string) (Solution, bool) {
 	s.mu.Lock()
 	e, ok := s.cache.peek(key)
 	s.mu.Unlock()
 	if ok {
-		// The entry holds the solution without Cached, and hit bytes
-		// with it: drop the member again.
-		body = make([]byte, 0, len(e.hit)-len(cachedField))
-		body = append(body, e.hit[:e.cachedAt]...)
-		return e.sol, append(body, e.hit[e.cachedAt+len(cachedField):]...), true
+		return e.sol, true
 	}
 	if s.store != nil {
-		if sol, ok = s.store.Get(key); ok {
-			body = sol.AppendJSON(make([]byte, 0, sol.sizeHint()))
-			return sol, append(body, '\n'), true
-		}
+		return s.store.Get(key)
 	}
-	return Solution{}, nil, false
+	return Solution{}, false
 }
 
 // Admit inserts an externally computed solution under its problem hash:
@@ -326,6 +317,7 @@ func (s *Service) Admit(key string, sol Solution, p *Problem) bool {
 		s.mu.Unlock()
 		return false
 	}
+	sol.Cached = false
 	e := newLRUEntry(key, sol)
 	e.unverified = s.verify && p == nil
 	s.mu.Lock()

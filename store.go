@@ -81,11 +81,10 @@ func (fs *FileStore) Dir() string { return fs.d.Path() }
 // lruEntry is one cached solution with the response a cache hit
 // answers with and its approximate memory footprint.
 type lruEntry struct {
-	key      string
-	sol      Solution
-	hit      []byte // sol's compact JSON encoding with Cached set, plus '\n'
-	cachedAt int    // where in hit the Cached member begins
-	size     int64
+	key  string
+	sol  Solution
+	hit  []byte // sol's compact JSON encoding with Cached set, plus '\n'
+	size int64
 	// unverified marks an entry Admit inserted, on a verifying Service,
 	// that no Verify has checked yet; the Service's mutex guards it.
 	unverified bool
@@ -205,14 +204,13 @@ func (c *lruCache) clear() {
 // cheap and deterministic.
 func newLRUEntry(key string, sol Solution) *lruEntry {
 	sol.Cached = true
-	blob, cachedAt := sol.appendJSON(make([]byte, 0, sol.sizeHint()))
+	blob := sol.AppendJSON(make([]byte, 0, sol.sizeHint()))
 	sol.Cached = false
 	return &lruEntry{
-		key:      key,
-		sol:      sol,
-		hit:      append(blob, '\n'),
-		cachedAt: cachedAt,
-		size:     int64(len(blob) - len(cachedField) + len(key)),
+		key:  key,
+		sol:  sol,
+		hit:  append(blob, '\n'),
+		size: int64(len(blob) - len(cachedField) + len(key)),
 	}
 }
 

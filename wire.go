@@ -179,13 +179,6 @@ func appendMap[V int | int64](b []byte, m map[string]V) []byte {
 // AppendJSON appends the solution's v1 JSON encoding, json.Marshal's
 // bytes, to b.
 func (sol Solution) AppendJSON(b []byte) []byte {
-	b, _ = sol.appendJSON(b)
-	return b
-}
-
-// appendJSON is AppendJSON that also reports where in b the Cached
-// member, `,"cached":true`, begins — or would begin, were it set.
-func (sol *Solution) appendJSON(b []byte) (out []byte, cachedAt int) {
 	b = append(b, `{"method":`...)
 	b = wire.AppendString(b, sol.Method)
 	b = append(b, `,"datapath":`...)
@@ -204,7 +197,6 @@ func (sol *Solution) appendJSON(b []byte) (out []byte, cachedAt int) {
 	}
 	b = append(b, `,"elapsed_ns":`...)
 	b = strconv.AppendInt(b, int64(sol.Elapsed), 10)
-	cachedAt = len(b)
 	if sol.Cached {
 		b = append(b, cachedField...)
 	}
@@ -230,7 +222,7 @@ func (sol *Solution) appendJSON(b []byte) (out []byte, cachedAt int) {
 		}
 		b = append(b, '}')
 	}
-	return append(b, '}'), cachedAt
+	return append(b, '}')
 }
 
 // sizeHint estimates the length of the solution's encoding, so an
@@ -351,8 +343,7 @@ func (r *BatchResult) appendMembers(b []byte, open int) []byte {
 	if len(r.Hit) > 0 {
 		return append(b, r.Hit[:len(r.Hit)-1]...) // less the newline
 	}
-	b, _ = r.Solution.appendJSON(b)
-	return b
+	return r.Solution.AppendJSON(b)
 }
 
 // DecodeProblem decodes data, one JSON document with nothing but
@@ -400,7 +391,6 @@ func DecodeSolution(data []byte) (Solution, error) {
 // unmarshal is the decoders' fallback for documents outside the
 // canonical subset.
 func unmarshal[T any](data []byte) (T, error) {
-	wire.Fallbacks.Add(1)
 	var v T
 	if err := json.Unmarshal(data, &v); err != nil {
 		var zero T
